@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the JSON fixture corpus under tests/fixtures/.
 
+``main`` takes the output directory, so a test can regenerate the corpus
+elsewhere and compare it with the committed files byte for byte.
+
 Valid files are produced through the package's own constructions; the
 law-violating ones are valid files with one table entry flipped, and the
 schema-violating one is written as raw JSON.
@@ -72,40 +75,41 @@ def flip_entry(data: dict, table: str, i: int, j: int, bound: int) -> dict:
     return data
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+def main(out_dir: Path = FIXTURES) -> None:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_raw(name: str, data: dict) -> None:
-        (FIXTURES / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        (out_dir / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     # valid objects, one per schema type
-    save(FIXTURES / "first_pure_swap.json", swap_automaton())
-    save(FIXTURES / "first_pure_trivial.json",
+    save(out_dir / "first_pure_swap.json", swap_automaton())
+    save(out_dir / "first_pure_trivial.json",
          PureAutomatonFirst(FiniteSet(1), FiniteSet(1), FiniteSet(1), ((0,),), ((0,),)))
-    save(FIXTURES / "first_semigroup_swap.json", semigroupify(swap_automaton()))
-    save(FIXTURES / "first_semigroup_z2.json", regular_z2())
-    save(FIXTURES / "second_pure_parity.json", parity_second())
+    save(out_dir / "first_semigroup_swap.json", semigroupify(swap_automaton()))
+    save(out_dir / "first_semigroup_z2.json", regular_z2())
+    save(out_dir / "second_pure_parity.json", parity_second())
     odo = odometer().machine
-    save(FIXTURES / "second_pure_odometer.json",
+    save(out_dir / "second_pure_odometer.json",
          PureAutomatonSecond(FiniteSet(2, ("add", "copy")), FiniteSet(2), FiniteSet(2),
                              odo.next, odo.out))
-    save(FIXTURES / "second_semigroup_parity.json", parity_quotient())
-    save(FIXTURES / "hom_mu_parity.json", GeneratorHom(1, Z2, (1,)))
-    save(FIXTURES / "hom_nu_parity.json", GeneratorHom(1, Z2, (1,)))
-    save(FIXTURES / "serial_reset.json", reset_serial())
-    save(FIXTURES / "mealy_odometer.json", odometer())
-    save(FIXTURES / "mealy_identity.json", identity_element(2))
-    save(FIXTURES / "mealy_grigorchuk.json", grigorchuk_elements()["a"].machine)
-    save(FIXTURES / "mealy_noninvertible.json",
+    save(out_dir / "second_semigroup_parity.json", parity_quotient())
+    save(out_dir / "hom_mu_parity.json", GeneratorHom(1, Z2, (1,)))
+    save(out_dir / "hom_nu_parity.json", GeneratorHom(1, Z2, (1,)))
+    save(out_dir / "serial_reset.json", reset_serial())
+    save(out_dir / "mealy_odometer.json", odometer())
+    save(out_dir / "mealy_identity.json", identity_element(2))
+    save(out_dir / "mealy_grigorchuk.json", grigorchuk_elements()["a"].machine)
+    save(out_dir / "mealy_noninvertible.json",
          MealyMachine(1, 2, ((0, 0),), ((0, 0),)))
 
     # quotient incompatibility: two inputs acting alike with distinct
     # outputs, identified by mu while nu separates the letters
-    save(FIXTURES / "second_pure_twoinputs.json",
+    save(out_dir / "second_pure_twoinputs.json",
          PureAutomatonSecond(FiniteSet(1), FiniteSet(2), FiniteSet(2),
                              ((0, 0),), ((0, 1),)))
-    save(FIXTURES / "hom_mu_identify.json", GeneratorHom(2, Z2, (1, 1)))
-    save(FIXTURES / "hom_nu_leftzero.json", GeneratorHom(2, LEFT_ZERO, (0, 1)))
+    save(out_dir / "hom_mu_identify.json", GeneratorHom(2, Z2, (1, 1)))
+    save(out_dir / "hom_nu_leftzero.json", GeneratorHom(2, LEFT_ZERO, (0, 1)))
 
     # cascade triples: a pure one steering a two-input machine, and the
     # lawful semigroup one over Z2 (identity beta, constant-column alpha)
@@ -116,8 +120,8 @@ def main() -> None:
                             ((0, 1), (1, 0)), ((0, 0), (1, 1)))
     m2 = PureAutomatonFirst(FiniteSet(2), FiniteSet(1), FiniteSet(2),
                             ((1,), (0,)), ((0,), (1,)))
-    save(FIXTURES / "first_pure_keepswap.json", m1)
-    save(FIXTURES / "first_pure_tick.json", m2)
+    save(out_dir / "first_pure_keepswap.json", m1)
+    save(out_dir / "first_pure_tick.json", m2)
     write_raw("cascade_triple_semigroup.json",
               {"type": "cascade-triple", "gamma": dump_object_gamma(),
                "alpha": [[0, 1], [0, 1]], "beta": [0, 1]})
@@ -138,7 +142,7 @@ def main() -> None:
     bad["next"][0][0] = 5
     write_raw("first_pure_bad_range.json", bad)
 
-    print(f"wrote fixtures to {FIXTURES}")
+    print(f"wrote fixtures to {out_dir}")
 
 
 def dump_object_gamma() -> dict:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DEFAULT_CAP,
     CapExceeded,
@@ -261,19 +263,20 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
     order = g1.order ** a2.size * g2.order
     if order > cap:
         raise CapExceeded(f"wreath product order {order} exceeds cap {cap}")
-    elements = tuple(WreathElement(bar, s)
-                     for bar in itertools.product(range(g1.order), repeat=a2.size)
+    bars = np.indices((g1.order,) * a2.size).reshape(a2.size, -1).T  # lexicographic
+    elements = tuple(WreathElement(bar, s) for bar in map(tuple, bars.tolist())
                      for s in range(g2.order))
-    rank = {e: i for i, e in enumerate(elements)}
-    p1, p2 = g1.product, g2.product
+    # rank(bar, s) == bar @ weights + s, as in WreathProduct.index
+    weights = g2.order * g1.order ** np.arange(a2.size - 1, -1, -1, dtype=np.intp)
+    p1 = np.array(g1.product, dtype=np.intp)
+    p2 = np.array(g2.product, dtype=np.intp)
+    act = np.array(action, dtype=np.intp)
     rows = []
-    for e in elements:
-        row = []
-        for f in elements:
-            bar = tuple(p1[e.bar[a]][f.bar[action[a][e.g2]]] for a in range(a2.size))
-            row.append(rank[WreathElement(bar, p2[e.g2][f.g2])])
-        rows.append(tuple(row))
-    table = SemigroupTable(order, tuple(rows))
+    for bar, s in itertools.product(bars, range(g2.order)):
+        # row of (bar, s): (f, s') |-> (a |-> bar(a) f(a . s), s s')
+        ranks = p1[bar, bars[:, act[:, s]]] @ weights
+        rows.append((ranks[:, None] + p2[s]).ravel().tolist())
+    table = SemigroupTable(order, rows)
     return WreathProduct(g1, a2, action, g2, table, elements)
 
 
@@ -309,28 +312,29 @@ def embed_into_wreath(t: CascadeTripleSemigroup, w: WreathProduct) -> tuple[int,
 
     Verifies that the map is a homomorphism, that it commutes with both
     triples' alpha and beta, and that it is the only map doing so (the
-    wreath coordinates force it pointwise).  Any failure raises
-    VerificationError; with a valid triple none can occur.
+    wreath coordinates force it pointwise: with pairwise distinct wreath
+    elements, the element at phi(g) is the only one with g's
+    coordinates).  Any failure raises VerificationError; with a valid
+    triple none can occur.
     """
     n_a2 = w.a2.size
     if len(t.alpha) != n_a2:
         raise ValueError(f"alpha has {len(t.alpha)} state rows, wreath expects {n_a2}")
     as_table("alpha", t.alpha, n_a2, t.gamma.order, w.g1.order)
     as_table("beta", (t.beta,), 1, t.gamma.order, w.g2.order)
-    phi = tuple(w.index(WreathElement(tuple(t.alpha[a2][g] for a2 in range(n_a2)),
-                                      t.beta[g]))
-                for g in range(t.gamma.order))
-    wt = wreath_triple(w)
-    morphism = check_semigroup_triple_morphism(t, wt, phi)
-    if not morphism.ok:
-        raise VerificationError(f"canonical map is not a triple morphism: "
-                                f"{morphism.describe()}")
-    for g in range(t.gamma.order):
-        matches = [i for i, e in enumerate(w.elements)
-                   if e.g2 == t.beta[g]
-                   and all(e.bar[a2] == t.alpha[a2][g] for a2 in range(n_a2))]
-        if matches != [phi[g]]:
+    images = [WreathElement(tuple(t.alpha[a2][g] for a2 in range(n_a2)), t.beta[g])
+              for g in range(t.gamma.order)]
+    phi = tuple(w.index(e) for e in images)
+    if len(set(w.elements)) != len(w.elements):
+        raise VerificationError("wreath elements are not pairwise distinct")
+    for g, e in enumerate(images):
+        if w.elements[phi[g]] != e:
+            matches = [i for i, f in enumerate(w.elements) if f == e]
             raise VerificationError(
                 f"diagram-compatible images of element {g} are {matches}, "
                 f"expected exactly [{phi[g]}]")
+    morphism = check_semigroup_triple_morphism(t, wreath_triple(w), phi)
+    if not morphism.ok:
+        raise VerificationError(f"canonical map is not a triple morphism: "
+                                f"{morphism.describe()}")
     return phi

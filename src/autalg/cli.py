@@ -2,7 +2,9 @@
 
 Exit codes are uniform across verbs: 0 for a pass or a computed result,
 1 for a failed property (an axiom violation, an incompatible quotient, a
-false equality), 2 for usage or input errors.
+false equality, a failed embedding check), 2 for usage or input errors
+and for a construction that fails its own built-in verification
+(``VerificationError``, printed as ``error: ...``).
 """
 
 from __future__ import annotations
@@ -383,7 +385,8 @@ def main(argv=None) -> int:
         return 2
     try:
         result = args.func(args)
-    except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError) as exc:
+    except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError,
+            VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if result.message:

@@ -211,15 +211,61 @@ def all_words(alphabet_size: int, max_len: int) -> Iterator[Word]:
             yield Word(letters, alphabet_size)
 
 
-def _associativity_witness(product: np.ndarray) -> tuple[int, int, int] | None:
-    """First triple (a, b, c) with (ab)c != a(bc), or None."""
-    for a in range(len(product)):
-        row = product[a]
-        left = product[row]   # left[b, c]  = product[product[a, b], c]
-        right = row[product]  # right[b, c] = product[a, product[b, c]]
+def _right_closure(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
+                   reached: np.ndarray) -> None:
+    """Mark in ``reached`` the elements of ``start`` and, breadth first,
+    every product e g of an element e marked by this call and g in
+    ``gens``.  Elements marked before the call are not expanded."""
+    candidates = start
+    while True:
+        fresh = np.zeros_like(reached)
+        fresh[candidates] = True
+        fresh &= ~reached
+        frontier = np.flatnonzero(fresh)
+        if not frontier.size:
+            return
+        reached |= fresh
+        candidates = product[np.ix_(frontier, gens)].ravel()
+
+
+def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
+    """A generating set chosen greedily: each element not yet reached by
+    right multiplication joins it, in index order."""
+    reached = np.zeros(len(product), dtype=bool)
+    gens: list[int] = []
+    for i in range(len(product)):
+        if reached[i]:
+            continue
+        old = np.flatnonzero(reached)
+        gens.append(i)
+        # old elements have met every earlier generator, not this one
+        _right_closure(product, np.append(product[old, i], i),
+                       np.array(gens), reached)
+    return tuple(gens)
+
+
+def _light_witness(product: np.ndarray,
+                   gens: Sequence[int]) -> tuple[int, int, int] | None:
+    """Light's associativity test: the first (x, g, y) with g in ``gens``
+    and (x g) y != x (g y), or None.
+
+    If ``gens`` generates the table, None means the table is associative.
+    Let A be the set of a with (x a) y == x (a y) for all x, y.  For a, b
+    in A and all x, y:
+
+        (x (a b)) y == ((x a) b) y == (x a) (b y)
+                    == x (a (b y)) == x ((a b) y),
+
+    using a in A, b in A, a in A and b in A in turn.  So A is closed under
+    the product; it contains the generators, hence every element.  The
+    test costs O(n^2 |gens|) instead of O(n^3).
+    """
+    for g in dict.fromkeys(gens):
+        left = product[product[:, g]]   # left[x, y]  = (x g) y
+        right = product[:, product[g]]  # right[x, y] = x (g y)
         if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            return a, int(b), int(c)
+            x, y = np.argwhere(left != right)[0]
+            return int(x), g, int(y)
     return None
 
 
@@ -231,8 +277,10 @@ class SemigroupTable:
     generator in generator order (entries may repeat if two generators
     coincide), and every element must be a product of them.  ``names``
     are words over generator positions; the name of element i must
-    evaluate back to i.  Associativity is checked exhaustively on
-    construction.
+    evaluate back to i.  Construction checks generation, then
+    associativity by Light's test against the generators (or, with no
+    generator list, against a greedily chosen generating set), then the
+    names.
     """
 
     order: int
@@ -245,30 +293,25 @@ class SemigroupTable:
         if n < 1:
             raise ValueError("order must be >= 1")
         object.__setattr__(self, "product", as_table("product", self.product, n, n, n))
-        witness = _associativity_witness(np.array(self.product, dtype=np.int64))
-        if witness is not None:
-            a, b, c = witness
-            raise ValueError(f"product not associative at ({a}, {b}, {c})")
+        product = np.array(self.product, dtype=np.intp)
         if self.generators is not None:
             gens = tuple(self.generators)
             object.__setattr__(self, "generators", gens)
             for g in gens:
                 if not 0 <= g < n:
                     raise ValueError(f"generator index {g} out of range")
-            reached = set(gens)
-            frontier = list(reached)
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    for g in gens:
-                        p = self.product[e][g]
-                        if p not in reached:
-                            reached.add(p)
-                            nxt.append(p)
-                frontier = nxt
-            if len(reached) != n:
-                missing = sorted(set(range(n)) - reached)
+            reached = np.zeros(n, dtype=bool)
+            start = np.array(gens, dtype=np.intp)
+            _right_closure(product, start, start, reached)
+            if not reached.all():
+                missing = np.flatnonzero(~reached).tolist()
                 raise ValueError(f"elements {missing} not generated by {gens}")
+        else:
+            gens = _greedy_generators(product)
+        witness = _light_witness(product, gens)
+        if witness is not None:
+            a, b, c = witness
+            raise ValueError(f"product not associative at ({a}, {b}, {c})")
         if self.names is not None:
             if self.generators is None:
                 raise ValueError("names require generators")
@@ -305,12 +348,28 @@ class Closure:
 def close_generators(generators: Sequence[Hashable],
                      multiply: Callable,
                      cap: int = DEFAULT_CAP) -> Closure:
-    """Breadth-first closure of ``generators`` under ``multiply``.
+    """Breadth-first closure of ``generators`` under an associative
+    ``multiply``.
 
     Elements are discovered by word length with letters tried in order,
     so element i's name is the lexicographically least shortest generator
-    word producing it.  Raises CapExceeded past ``cap`` elements and
-    ValueError if the induced table is not associative.
+    word producing it.  Raises CapExceeded past ``cap`` elements.
+
+    ``multiply`` is called once per element and letter (Froidure and Pin,
+    1997): the search keeps those products as the right Cayley graph
+    R[e, l] = e g_l and records each new element j as p(j) g_l(j), its
+    parent times its last letter.  The table is then filled a BFS level
+    at a time.  A generator's column is a column of R, and for a later
+    element
+
+        x j == x (p(j) g_l(j)) == (x p(j)) g_l(j) == R[x p(j), l(j)],
+
+    where the middle step is associativity of ``multiply`` and x p(j) is
+    a column of the previous level.  ``SemigroupTable`` then checks that
+    the table is associative and generated, so a non-associative
+    ``multiply`` may still leave a table that differs from its own
+    products: callers that need the exact table check it against their
+    elements (see ``first_type.semigroupify``).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -319,6 +378,7 @@ def close_generators(generators: Sequence[Hashable],
     index: dict = {}
     elements: list = []
     names: list[tuple[int, ...]] = []
+    parent: list[int] = []
     letter_to_index: list[int] = []
     for i, g in enumerate(generators):
         found = index.get(g)
@@ -329,36 +389,36 @@ def close_generators(generators: Sequence[Hashable],
             index[g] = found
             elements.append(g)
             names.append((i,))
+            parent.append(-1)
         letter_to_index.append(found)
-    frontier = list(range(len(elements)))
-    while frontier:
-        new_level: list[int] = []
-        for ei in frontier:
+    right: list[list[int]] = []
+    bounds = [0, len(elements)]  # level k is range(bounds[k], bounds[k + 1])
+    while bounds[-2] < bounds[-1]:
+        for ei in range(bounds[-2], bounds[-1]):
             e = elements[ei]
+            row = []
             for li, gi in enumerate(letter_to_index):
                 p = multiply(e, elements[gi])
-                if p not in index:
+                k = index.get(p)
+                if k is None:
                     if len(elements) >= cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
-                    index[p] = len(elements)
+                    k = index[p] = len(elements)
                     elements.append(p)
                     names.append(names[ei] + (li,))
-                    new_level.append(index[p])
-        frontier = new_level
+                    parent.append(ei)
+                row.append(k)
+            right.append(row)
+        bounds.append(len(elements))
     n = len(elements)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = multiply(elements[i], elements[j])
-            k = index.get(p)
-            if k is None:
-                raise ValueError(
-                    f"product of elements {i} and {j} leaves the closure; "
-                    "multiply is not associative")
-            row.append(k)
-        rows.append(tuple(row))
-    table = SemigroupTable(n, tuple(rows), generators=tuple(letter_to_index),
+    cayley = np.array(right, dtype=np.intp)
+    parents = np.array(parent, dtype=np.intp)
+    lasts = np.array([w[-1] for w in names], dtype=np.intp)
+    product = np.empty((n, n), dtype=np.intp)
+    product[:, :bounds[1]] = cayley[:, lasts[:bounds[1]]]
+    for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
+        product[:, lo:hi] = cayley[product[:, parents[lo:hi]], lasts[lo:hi]]
+    table = SemigroupTable(n, product.tolist(), generators=tuple(letter_to_index),
                            names=tuple(names))
     return Closure(table, tuple(elements), tuple(letter_to_index))
 

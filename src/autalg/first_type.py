@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import (
     DEFAULT_CAP,
     CheckReport,
@@ -24,6 +26,7 @@ from .core import (
     PairElement,
     SemigroupTable,
     Transformation,
+    VerificationError,
     Word,
     as_table,
     close_generators,
@@ -106,12 +109,25 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     distinct pair elements, and distinct pairs act distinctly.  Input
     letter x corresponds to generator position x of the result's
     semigroup (``gamma.generators[x]``).
+
+    The closure's table is exactly the ``multiply_pair`` table: for every
+    state a, ``nxt[a][T] == nxt[nxt[a]]`` and ``out[a][T] == out[nxt[a]]``
+    say that element T[x, y] has the state and output columns of the pair
+    product of x and y, and distinct elements have distinct columns.
+    VerificationError is raised otherwise.
     """
     closure = close_generators(to_universal(m), multiply_pair, cap)
-    states = range(m.states.size)
-    nxt = tuple(tuple(e.sigma.image[a] for e in closure.elements) for a in states)
-    out = tuple(tuple(e.phi.image[a] for e in closure.elements) for a in states)
-    return SemigroupAutomatonFirst(m.states, closure.table, m.outputs, nxt, out)
+    nxt = np.array([e.sigma.image for e in closure.elements], dtype=np.intp).T
+    out = np.array([e.phi.image for e in closure.elements], dtype=np.intp).T
+    product = np.array(closure.table.product, dtype=np.intp)
+    for a in range(m.states.size):
+        moved = nxt[a]
+        if not (np.array_equal(moved[product], nxt[moved])
+                and np.array_equal(out[a][product], out[moved])):
+            raise VerificationError(
+                f"closure table differs from the pair product at state {a}")
+    return SemigroupAutomatonFirst(m.states, closure.table, m.outputs,
+                                   nxt.tolist(), out.tolist())
 
 
 class Run(NamedTuple):

@@ -33,23 +33,23 @@ def _get(data: dict, key: str, where: str):
     return data[key]
 
 
+def _int(value, where: str) -> int:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    _expect(isinstance(value, int) and not isinstance(value, bool), where,
+            f"expected an integer, got {value!r}")
+    return value
+
+
 def _int_table(value, where: str) -> tuple[tuple[int, ...], ...]:
     _expect(isinstance(value, list), where, "expected a list of rows")
-    rows = []
-    for i, row in enumerate(value):
-        _expect(isinstance(row, list), f"{where}[{i}]", "expected a list")
-        for j, v in enumerate(row):
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"{where}[{i}][{j}]", f"expected an integer, got {v!r}")
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(_int_list(row, f"{where}[{i}]") for i, row in enumerate(value))
 
 
 def _int_list(value, where: str) -> tuple[int, ...]:
     _expect(isinstance(value, list), where, "expected a list")
     for j, v in enumerate(value):
-        _expect(isinstance(v, int) and not isinstance(v, bool),
-                f"{where}[{j}]", f"expected an integer, got {v!r}")
+        if type(v) is not int:  # JSON integers; anything else is judged by _int
+            _int(v, f"{where}[{j}]")
     return tuple(value)
 
 
@@ -61,9 +61,7 @@ def dump_finite_set(s: FiniteSet) -> dict:
 
 
 def load_finite_set(data, where: str) -> FiniteSet:
-    size = _get(data, "size", where)
-    _expect(isinstance(size, int) and not isinstance(size, bool), where,
-            f"size must be an integer, got {size!r}")
+    size = _int(_get(data, "size", where), f"{where}.size")
     labels = data.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list), f"{where}.labels", "expected a list")
@@ -83,9 +81,7 @@ def dump_semigroup_table(t: SemigroupTable) -> dict:
 
 
 def load_semigroup_table(data, where: str) -> SemigroupTable:
-    order = _get(data, "order", where)
-    _expect(isinstance(order, int) and not isinstance(order, bool), where,
-            "order must be an integer")
+    order = _int(_get(data, "order", where), f"{where}.order")
     product = _int_table(_get(data, "product", where), f"{where}.product")
     generators = data.get("generators")
     names = data.get("names")
@@ -187,24 +183,17 @@ def load_object(data, where: str = "file"):
                       if "inputs" in data else FiniteSet(len(beta)))
             return CascadeTriplePure(inputs, alpha, beta)
         if kind == "mealy":
-            states = _get(data, "states", where)
-            alphabet = _get(data, "alphabet", where)
-            _expect(isinstance(states, int) and isinstance(alphabet, int), where,
-                    "states and alphabet must be integers")
             machine = MealyMachine(
-                states, alphabet,
+                _int(_get(data, "states", where), f"{where}.states"),
+                _int(_get(data, "alphabet", where), f"{where}.alphabet"),
                 _int_table(_get(data, "next", where), f"{where}.next"),
                 _int_table(_get(data, "out", where), f"{where}.out"))
             if "initial" in data:
-                initial = data["initial"]
-                _expect(isinstance(initial, int), f"{where}.initial", "must be an integer")
-                return MealyElement(machine, initial)
+                return MealyElement(machine, _int(data["initial"], f"{where}.initial"))
             return machine
         if kind == "generator-hom":
-            alphabet_size = _get(data, "alphabet_size", where)
-            _expect(isinstance(alphabet_size, int), where, "alphabet_size must be an integer")
             return GeneratorHom(
-                alphabet_size,
+                _int(_get(data, "alphabet_size", where), f"{where}.alphabet_size"),
                 load_semigroup_table(_get(data, "target", where), f"{where}.target"),
                 _int_list(_get(data, "assignment", where), f"{where}.assignment"))
         if kind == "serial":

@@ -105,6 +105,40 @@ def words_agree_to_depth(e1: MealyElement, e2: MealyElement, depth: int) -> bool
     return True
 
 
+def naive_closure_table(elements, multiply) -> tuple[tuple[int, ...], ...]:
+    """The n^2 table of ``multiply`` over a closure's elements, one call
+    per cell."""
+    elements = list(elements)
+    return tuple(tuple(elements.index(multiply(x, y)) for y in elements)
+                 for x in elements)
+
+
+def is_generated_by(table: tuple[tuple[int, ...], ...], gens) -> bool:
+    """Every element is a generator or a product e g of a reached element
+    and a generator."""
+    reached = set(gens)
+    while True:
+        grown = reached | {table[e][g] for e in reached for g in gens}
+        if grown == reached:
+            return len(reached) == len(table)
+        reached = grown
+
+
+def wreath_table_oracle(g1: SemigroupTable, points: int,
+                        action: tuple[tuple[int, ...], ...],
+                        g2: SemigroupTable) -> tuple[tuple[int, ...], ...]:
+    """The wreath table straight from (f, s)(f', s') == (a |-> f(a) f'(a.s), s s'),
+    over pairs (f, s) listed with f lexicographic and s fastest."""
+    elements = [(f, s) for f in itertools.product(range(g1.order), repeat=points)
+                for s in range(g2.order)]
+    rank = {e: i for i, e in enumerate(elements)}
+    return tuple(
+        tuple(rank[(tuple(g1.product[f[a]][f2[action[a][s]]] for a in range(points)),
+                    g2.product[s][s2])]
+              for f2, s2 in elements)
+        for f, s in elements)
+
+
 # --- exhaustive small-structure catalogues ------------------------------
 
 def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -26,7 +27,7 @@ from autalg import (
     wreath_semigroup,
     wreath_triple,
 )
-from helpers import random_pure_first, semigroups_up_to_iso
+from helpers import all_actions, random_pure_first, semigroups_up_to_iso, wreath_table_oracle
 
 Z2 = SemigroupTable(2, ((0, 1), (1, 0)))
 Z3 = SemigroupTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -143,6 +144,18 @@ class TestWreathSemigroup:
         with pytest.raises(ValueError, match="not an action"):
             wreath_product(Z2, FiniteSet(2), ((1, 0), (0, 1)), lz)
 
+    def test_table_matches_the_defining_formula_exhaustively(self):
+        # every semigroup of order <= 2 by every action of one on 1-3 points
+        catalogue = semigroups_up_to_iso(1) + semigroups_up_to_iso(2)
+        checked = 0
+        for g1, g2 in itertools.product(catalogue, repeat=2):
+            for points in (1, 2, 3):
+                for action in all_actions(g2, points):
+                    w = wreath_product(g1, FiniteSet(points), action, g2)
+                    assert w.table.product == wreath_table_oracle(g1, points, action, g2)
+                    checked += 1
+        assert checked > 100
+
     def test_index_is_the_enumeration_rank(self):
         w = wreath_product(Z2, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3)
         for i, e in enumerate(w.elements):
@@ -204,6 +217,22 @@ class TestEmbedding:
         for i in image:
             for j in image:
                 assert w.table.product[i][j] in image
+
+    def test_misplaced_wreath_element_raises_verification_error(self):
+        m = regular_automaton(Z2)
+        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
+        swapped = (w.elements[1], w.elements[0]) + w.elements[2:]
+        t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
+        with pytest.raises(VerificationError, match="diagram-compatible images"):
+            embed_into_wreath(t, dataclasses.replace(w, elements=swapped))
+
+    def test_repeated_wreath_element_raises_verification_error(self):
+        m = regular_automaton(Z2)
+        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
+        repeated = (w.elements[1],) + w.elements[1:]
+        t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
+        with pytest.raises(VerificationError, match="not pairwise distinct"):
+            embed_into_wreath(t, dataclasses.replace(w, elements=repeated))
 
     def test_invalid_triple_raises_verification_error(self):
         m = regular_automaton(Z2)

@@ -23,6 +23,7 @@ from autalg import (
     kernel_classes,
     multiply_pair,
 )
+from helpers import _is_associative, is_generated_by, naive_closure_table, semigroups_up_to_iso
 
 
 def transformations(n):
@@ -179,6 +180,94 @@ class TestGenerateSemigroup:
         assert table.order <= 27
         for li, gi in zip(range(len(gens)), closure.letter_to_index):
             assert closure.elements[gi] == gens[li] or gens.index(gens[li]) < li
+
+
+class TestClosureAgainstOracle:
+    """The Cayley-graph fill against one ``multiply`` call per cell."""
+
+    @given(st.lists(transformations(3), min_size=1, max_size=3), st.booleans())
+    def test_transformation_generators(self, gens, repeat):
+        if repeat:
+            gens = gens + gens[:1]
+        closure = close_generators(gens, compose_transformations)
+        assert closure.table.product == naive_closure_table(
+            closure.elements, compose_transformations)
+
+    @given(st.lists(pairs(2, 2), min_size=1, max_size=3), st.booleans())
+    def test_pair_generators(self, gens, repeat):
+        if repeat:
+            gens = gens + gens[-1:]
+        closure = close_generators(gens, multiply_pair)
+        assert closure.table.product == naive_closure_table(closure.elements, multiply_pair)
+
+    def test_full_transformation_monoid_of_three_points(self):
+        gens = [Transformation((1, 2, 0)), Transformation((1, 0, 2)),
+                Transformation((0, 0, 2))]
+        closure = close_generators(gens, compose_transformations)
+        assert closure.table.order == 27
+        assert closure.table.product == naive_closure_table(
+            closure.elements, compose_transformations)
+
+
+def _accepted(table, generators=None) -> bool:
+    try:
+        SemigroupTable(len(table), table, generators)
+    except ValueError as exc:
+        assert "not associative" in str(exc) or "not generated" in str(exc)
+        return False
+    return True
+
+
+def _corrupt(table, i, j, v):
+    rows = [list(r) for r in table]
+    rows[i][j] = v
+    return tuple(tuple(r) for r in rows)
+
+
+def tables(max_order):
+    return st.integers(1, max_order).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ).map(lambda rows: tuple(tuple(r) for r in rows))
+
+
+class TestLightAgainstOracle:
+    """SemigroupTable's generator-based check against the O(n^3) scan."""
+
+    @given(tables(3))
+    def test_random_tables(self, table):
+        assert _accepted(table) == _is_associative(table)
+
+    @given(tables(3), st.lists(st.integers(0, 2), max_size=3))
+    def test_random_tables_with_generators(self, table, gens):
+        gens = [g % len(table) for g in gens]
+        assert _accepted(table, gens) == (
+            _is_associative(table) and is_generated_by(table, gens))
+
+    @given(st.sampled_from(semigroups_up_to_iso(3)), st.integers(0, 2),
+           st.integers(0, 2), st.integers(1, 2))
+    def test_order_three_semigroups_with_one_corrupted_entry(self, sg, i, j, shift):
+        assert _accepted(sg.product)
+        bad = _corrupt(sg.product, i, j, (sg.product[i][j] + shift) % 3)
+        assert _accepted(bad) == _is_associative(bad)
+
+    @given(st.lists(transformations(3), min_size=1, max_size=2), st.data())
+    def test_closures_with_one_corrupted_entry(self, gens, data):
+        table = close_generators(gens, compose_transformations).table
+        n = table.order
+        i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        bad = _corrupt(table.product, i, j, v)
+        assert _accepted(bad) == _is_associative(bad)
+        assert _accepted(bad, table.generators) == (
+            _is_associative(bad) and is_generated_by(bad, table.generators))
+
+    def test_witness_is_a_non_associative_triple(self):
+        table = ((0, 1, 2), (1, 2, 0), (2, 0, 0))
+        assert not _is_associative(table)
+        with pytest.raises(ValueError, match="product not associative at") as info:
+            SemigroupTable(3, table)
+        a, b, c = map(int, str(info.value).rsplit("(", 1)[1].rstrip(")").split(", "))
+        assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 class TestKernelClasses:

@@ -10,9 +10,11 @@ from autalg import (
     PairElement,
     PureAutomatonFirst,
     SemigroupTable,
+    VerificationError,
     Word,
     act_word,
     check_first_axioms,
+    compose_transformations,
     evaluate_word,
     semigroupify,
     to_universal,
@@ -128,6 +130,18 @@ class TestSemigroupify:
     @given(pure_first(2, 2, 2))
     def test_result_always_satisfies_axioms(self, m):
         assert check_first_axioms(semigroupify(m)).ok
+
+    def test_table_is_checked_against_the_pair_product(self, monkeypatch):
+        # (s1, p1)(s2, p2) = (s1 s2, p2) is associative, so the closure
+        # accepts its table, but it is not the pair product
+        import autalg.first_type as first_type
+
+        def wrong_product(p, q):
+            return PairElement(compose_transformations(p.sigma, q.sigma), q.phi)
+
+        monkeypatch.setattr(first_type, "multiply_pair", wrong_product)
+        with pytest.raises(VerificationError, match="pair product"):
+            semigroupify(SWAP)
 
 
 class TestActWord:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from autalg import (
     FiniteSet,
     SemigroupTable,
+    VerificationError,
     Word,
     element_apply,
     odometer,
@@ -49,8 +51,25 @@ CHECK_EXPECTATIONS = {
 }
 
 
+# JSON true/false where the schema expects integers
+BOOL_MEALY = {"type": "mealy", "states": True, "initial": False, "alphabet": 2,
+              "next": [[0, 0]], "out": [[0, 1]]}
+
+
 def test_manifest_covers_the_corpus():
     assert {p.name for p in FIXTURES.glob("*.json")} == set(CHECK_EXPECTATIONS)
+
+
+def test_make_fixtures_reproduces_the_corpus(tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(tmp_path)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 class TestRoundTrip:
@@ -79,6 +98,26 @@ class TestRoundTrip:
     def test_missing_key_named(self):
         with pytest.raises(SchemaError, match="missing key"):
             load_object({"type": "mealy", "states": 1, "alphabet": 2})
+
+    @pytest.mark.parametrize("data, where", [
+        (BOOL_MEALY, "states"),
+        ({**BOOL_MEALY, "states": 1}, "initial"),
+        ({**BOOL_MEALY, "states": 1, "initial": 0, "alphabet": True}, "alphabet"),
+        ({**BOOL_MEALY, "states": 1, "initial": 0, "next": [[0, True]]}, r"next\[0\]\[1\]"),
+        ({"type": "generator-hom", "alphabet_size": True,
+          "target": {"order": 2, "product": [[0, 1], [1, 0]]}, "assignment": [1]},
+         "alphabet_size"),
+    ])
+    def test_bool_is_not_an_integer(self, data, where):
+        with pytest.raises(SchemaError,
+                           match=rf"\.{where}: expected an integer, got (True|False)"):
+            load_object(data)
+
+    def test_bool_machine_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(BOOL_MEALY))
+        assert main(["group", "apply", str(path), "0", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCheckCommand:
@@ -239,6 +278,18 @@ class TestConstructCommand:
     def test_help_returns_0(self, capsys):
         assert main(["-h"]) == 0
         assert "usage: autalg" in capsys.readouterr().out
+
+    def test_verification_error_is_an_error_exit(self, monkeypatch, capsys):
+        import autalg.cli as cli
+
+        def failing(m, cap):
+            raise VerificationError("closure table differs from the pair product")
+
+        monkeypatch.setattr(cli, "semigroupify", failing)
+        assert main(["construct", "semigroupify",
+                     str(FIXTURES / "first_pure_swap.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: closure table differs from the pair product\n")
 
     def test_wrong_input_type_is_an_input_error(self):
         assert main(["construct", "semigroupify",
