@@ -23,6 +23,7 @@ from .core import (
     all_funmaps,
     all_transformations,
     all_words,
+    check_laws,
     close_generators,
     compose_transformations,
     evaluate_word,

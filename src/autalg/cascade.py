@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     SemigroupTable,
     VerificationError,
     as_table,
+    check_laws,
 )
 from .first_type import PureAutomatonFirst, SemigroupAutomatonFirst
 
@@ -132,31 +134,38 @@ class CascadeTripleSemigroup:
                 raise ValueError(f"alpha[{i}] has {len(row)} entries for order {self.gamma.order}")
 
 
+def _check_homomorphism(gamma: SemigroupTable, image: Sequence[int],
+                        target: SemigroupTable, name: str) -> CheckReport:
+    """image[g1 g2] == image[g1] image[g2] for all g1, g2, as a law over
+    one state that every element fixes; the witness is (g1, g2)."""
+    report = check_laws(gamma, np.zeros((1, gamma.order), dtype=np.intp),
+                        [(name, (image,), target)])
+    if report.ok:
+        return report
+    return CheckReport.failed(report.law, report.witness[1:], report.lhs, report.rhs)
+
+
 def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
                            m2: SemigroupAutomatonFirst) -> CheckReport:
     """beta must be a homomorphism into m2's semigroup and alpha must
-    satisfy the crossed law against m2's action."""
+    satisfy the crossed law against m2's action.
+
+    The first violation is reported: of beta over (g1, g2), else of the
+    crossed law over (a2, g1, g2).  The crossed law is a ``check_laws``
+    law whose carrier is a2 . g == m2.next[a2][beta(g)].  That carrier is
+    an action when beta is a homomorphism and m2's table an action, but
+    m2's laws are not checked here, so ``check_laws`` tests the carrier
+    on the generators of t.gamma before it trusts the generator pass.
+    """
     as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
     as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
-    prod = t.gamma.product
-    p1, p2 = m1.gamma.product, m2.gamma.product
-    for g1 in range(t.gamma.order):
-        for g2 in range(t.gamma.order):
-            g12 = prod[g1][g2]
-            if t.beta[g12] != p2[t.beta[g1]][t.beta[g2]]:
-                return CheckReport.failed("beta homomorphism", (g1, g2),
-                                          t.beta[g12], p2[t.beta[g1]][t.beta[g2]])
-    for a2 in range(m2.states.size):
-        for g1 in range(t.gamma.order):
-            a2_moved = m2.next[a2][t.beta[g1]]
-            for g2 in range(t.gamma.order):
-                g12 = prod[g1][g2]
-                rhs = p1[t.alpha[a2][g1]][t.alpha[a2_moved][g2]]
-                if t.alpha[a2][g12] != rhs:
-                    return CheckReport.failed(
-                        "crossed law alpha(a2, g1 g2) == alpha(a2, g1) alpha(a2.beta(g1), g2)",
-                        (a2, g1, g2), t.alpha[a2][g12], rhs)
-    return CheckReport.passed()
+    report = _check_homomorphism(t.gamma, t.beta, m2.gamma, "beta homomorphism")
+    if not report.ok:
+        return report
+    carrier = np.asarray(m2.next, dtype=np.intp)[:, t.beta]
+    return check_laws(t.gamma, carrier, [
+        ("crossed law alpha(a2, g1 g2) == alpha(a2, g1) alpha(a2.beta(g1), g2)",
+         t.alpha, m1.gamma)])
 
 
 def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTripleSemigroup,
@@ -167,12 +176,9 @@ def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTriple
         raise ValueError(f"mu has {len(mu)} entries for order {t.gamma.order}")
     if len(t.alpha) != len(t2.alpha):
         raise ValueError("triples live over different second-component state sets")
-    for g1 in range(t.gamma.order):
-        for g2 in range(t.gamma.order):
-            lhs = mu[t.gamma.product[g1][g2]]
-            rhs = t2.gamma.product[mu[g1]][mu[g2]]
-            if lhs != rhs:
-                return CheckReport.failed("mu homomorphism", (g1, g2), lhs, rhs)
+    report = _check_homomorphism(t.gamma, mu, t2.gamma, "mu homomorphism")
+    if not report.ok:
+        return report
     for g in range(t.gamma.order):
         if t.beta[g] != t2.beta[mu[g]]:
             return CheckReport.failed("beta == beta' . mu", (g,), t.beta[g], t2.beta[mu[g]])
@@ -253,13 +259,10 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
         (f, s)(f', s') == (a |-> f(a) f'(a . s), s s')
     """
     action = as_table("action", action, a2.size, g2.order, a2.size)
-    for a in range(a2.size):
-        for s in range(g2.order):
-            moved = action[a][s]
-            for s2 in range(g2.order):
-                if action[a][g2.product[s][s2]] != action[moved][s2]:
-                    raise ValueError(
-                        f"not an action: a.(s s') != (a.s).s' at ({a}, {s}, {s2})")
+    report = check_laws(g2, action, [("action", action, None)])
+    if not report.ok:
+        a, s, s2 = report.witness
+        raise ValueError(f"not an action: a.(s s') != (a.s).s' at ({a}, {s}, {s2})")
     order = g1.order ** a2.size * g2.order
     if order > cap:
         raise CapExceeded(f"wreath product order {order} exceeds cap {cap}")
@@ -268,15 +271,14 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
                      for s in range(g2.order))
     # rank(bar, s) == bar @ weights + s, as in WreathProduct.index
     weights = g2.order * g1.order ** np.arange(a2.size - 1, -1, -1, dtype=np.intp)
-    p1 = np.array(g1.product, dtype=np.intp)
-    p2 = np.array(g2.product, dtype=np.intp)
+    p1, p2 = g1.array, g2.array
     act = np.array(action, dtype=np.intp)
-    rows = []
-    for bar, s in itertools.product(bars, range(g2.order)):
+    product = np.empty((order, order), dtype=np.intp)
+    for i, (bar, s) in enumerate(itertools.product(bars, range(g2.order))):
         # row of (bar, s): (f, s') |-> (a |-> bar(a) f(a . s), s s')
         ranks = p1[bar, bars[:, act[:, s]]] @ weights
-        rows.append((ranks[:, None] + p2[s]).ravel().tolist())
-    table = SemigroupTable(order, rows)
+        product[i] = (ranks[:, None] + p2[s]).ravel()
+    table = SemigroupTable(order, product)
     return WreathProduct(g1, a2, action, g2, table, elements)
 
 

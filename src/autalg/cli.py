@@ -2,9 +2,10 @@
 
 Exit codes are uniform across verbs: 0 for a pass or a computed result,
 1 for a failed property (an axiom violation, an incompatible quotient, a
-false equality, a failed embedding check), 2 for usage or input errors
-and for a construction that fails its own built-in verification
-(``VerificationError``, printed as ``error: ...``).
+false equality, a failed embedding check), 2 for usage or input errors,
+for a construction that fails its own built-in verification
+(``VerificationError``, printed as ``error: ...``) and for running out of
+memory (``MemoryError``, printed as ``error: out of memory``).
 """
 
 from __future__ import annotations
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
     except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError,
             VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     if result.message:
         print(result.message)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -39,19 +39,28 @@ class VerificationError(RuntimeError):
 
 def as_table(name: str, table: Sequence[Sequence[int]], rows: int, cols: int,
              bound: int) -> tuple[tuple[int, ...], ...]:
-    """Normalize a rows x cols integer table, naming any offending entry."""
+    """Normalize a rows x cols integer table, naming any offending entry.
+
+    A table whose entries are all plain ``int`` in range passes on C-level
+    tests of the row lengths, the entry types and the minimum and maximum.
+    Only a table that fails them is walked entry by entry, to name the
+    first offender (a bool is rejected there, though ``bool`` subclasses
+    ``int``).
+    """
     if len(table) != rows:
         raise ValueError(f"{name}: expected {rows} rows, got {len(table)}")
-    norm = []
-    for i, row in enumerate(table):
-        row = tuple(row)
+    norm = tuple(map(tuple, table))
+    if set(map(len, norm)) <= {cols}:
+        flat = [*itertools.chain.from_iterable(norm)]
+        if set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) <= max(flat) < bound):
+            return norm
+    for i, row in enumerate(norm):
         if len(row) != cols:
             raise ValueError(f"{name}[{i}]: expected {cols} entries, got {len(row)}")
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
                 raise ValueError(f"{name}[{i}][{j}] = {v!r} out of range 0..{bound - 1}")
-        norm.append(row)
-    return tuple(norm)
+    return norm
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,7 +234,7 @@ def _right_closure(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
         if not frontier.size:
             return
         reached |= fresh
-        candidates = product[np.ix_(frontier, gens)].ravel()
+        candidates = product[frontier[:, None], gens].ravel()
 
 
 def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
@@ -247,7 +256,7 @@ def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
 def _light_witness(product: np.ndarray,
                    gens: Sequence[int]) -> tuple[int, int, int] | None:
     """Light's associativity test: the first (x, g, y) with g in ``gens``
-    and (x g) y != x (g y), or None.
+    (distinct, in order) and (x g) y != x (g y), or None.
 
     If ``gens`` generates the table, None means the table is associative.
     Let A be the set of a with (x a) y == x (a y) for all x, y.  For a, b
@@ -260,13 +269,38 @@ def _light_witness(product: np.ndarray,
     the product; it contains the generators, hence every element.  The
     test costs O(n^2 |gens|) instead of O(n^3).
     """
-    for g in dict.fromkeys(gens):
+    for g in gens:
         left = product[product[:, g]]   # left[x, y]  = (x g) y
         right = product[:, product[g]]  # right[x, y] = x (g y)
         if not np.array_equal(left, right):
             x, y = np.argwhere(left != right)[0]
             return int(x), g, int(y)
     return None
+
+
+def _square_table(product, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """``product`` as nested tuples and as a read-only n x n ``np.intp``
+    array.  Shape and entry types are tested as in ``as_table``, but the
+    range on the array, which is cheaper than Python's min and max; a
+    table that fails gets ``as_table``'s message."""
+    if (isinstance(product, np.ndarray) and product.shape == (n, n)
+            and np.issubdtype(product.dtype, np.integer)):
+        array = product.astype(np.intp)
+        rows = None
+    else:
+        rows = tuple(map(tuple, product))
+        plain = (len(rows) == n and set(map(len, rows)) == {n}
+                 and set(map(type, itertools.chain.from_iterable(rows))) <= {int})
+        try:
+            array = np.array(rows if plain else as_table("product", rows, n, n, n),
+                             dtype=np.intp)
+        except OverflowError:  # an int beyond np.intp is out of range
+            as_table("product", rows, n, n, n)
+            raise
+    if array.min() < 0 or array.max() >= n:
+        as_table("product", array.tolist(), n, n, n)  # raises, naming the entry
+    array.flags.writeable = False
+    return (tuple(map(tuple, array.tolist())) if rows is None else rows), array
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,19 +315,28 @@ class SemigroupTable:
     associativity by Light's test against the generators (or, with no
     generator list, against a greedily chosen generating set), then the
     names.
+
+    ``product`` may be given as an n x n integer ndarray; it is stored as
+    nested tuples either way.  Construction also keeps what it validated:
+    ``array``, the table as a read-only ``np.intp`` array, and
+    ``generating_set``, the distinct generators Light's test used.
+    Neither takes part in comparison.
     """
 
     order: int
     product: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...] | None = None
     names: tuple[tuple[int, ...], ...] | None = None
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    generating_set: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.order
         if n < 1:
             raise ValueError("order must be >= 1")
-        object.__setattr__(self, "product", as_table("product", self.product, n, n, n))
-        product = np.array(self.product, dtype=np.intp)
+        product, array = _square_table(self.product, n)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "array", array)
         if self.generators is not None:
             gens = tuple(self.generators)
             object.__setattr__(self, "generators", gens)
@@ -302,29 +345,38 @@ class SemigroupTable:
                     raise ValueError(f"generator index {g} out of range")
             reached = np.zeros(n, dtype=bool)
             start = np.array(gens, dtype=np.intp)
-            _right_closure(product, start, start, reached)
+            _right_closure(array, start, start, reached)
             if not reached.all():
                 missing = np.flatnonzero(~reached).tolist()
                 raise ValueError(f"elements {missing} not generated by {gens}")
         else:
-            gens = _greedy_generators(product)
-        witness = _light_witness(product, gens)
+            gens = _greedy_generators(array)
+        object.__setattr__(self, "generating_set", tuple(dict.fromkeys(gens)))
+        witness = _light_witness(array, self.generating_set)
         if witness is not None:
             a, b, c = witness
             raise ValueError(f"product not associative at ({a}, {b}, {c})")
         if self.names is not None:
             if self.generators is None:
                 raise ValueError("names require generators")
-            names = tuple(tuple(w) for w in self.names)
+            names = tuple(map(tuple, self.names))
             object.__setattr__(self, "names", names)
             if len(names) != n:
                 raise ValueError(f"{len(names)} names for {n} elements")
+            letters = [*itertools.chain.from_iterable(names)]
+            checked = (min(map(len, names)) > 0
+                       and 0 <= min(letters) <= max(letters) < len(gens))
             for i, w in enumerate(names):
-                if not w:
-                    raise ValueError(f"names[{i}] is empty")
-                e = self.generators[w[0]]
+                if not checked:  # name the first empty word or bad letter
+                    if not w:
+                        raise ValueError(f"names[{i}] is empty")
+                    for letter in w:
+                        if not 0 <= letter < len(gens):
+                            raise ValueError(f"names[{i}] = {w}: letter {letter} out of "
+                                             f"range 0..{len(gens) - 1}")
+                e = gens[w[0]]
                 for letter in w[1:]:
-                    e = self.product[e][self.generators[letter]]
+                    e = product[e][gens[letter]]
                 if e != i:
                     raise ValueError(f"names[{i}] = {w} evaluates to {e}, not {i}")
 
@@ -418,7 +470,7 @@ def close_generators(generators: Sequence[Hashable],
     product[:, :bounds[1]] = cayley[:, lasts[:bounds[1]]]
     for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
         product[:, lo:hi] = cayley[product[:, parents[lo:hi]], lasts[lo:hi]]
-    table = SemigroupTable(n, product.tolist(), generators=tuple(letter_to_index),
+    table = SemigroupTable(n, product, generators=tuple(letter_to_index),
                            names=tuple(names))
     return Closure(table, tuple(elements), tuple(letter_to_index))
 
@@ -481,3 +533,83 @@ class CheckReport:
             return "pass"
         return (f"fail: {self.law} at {self.witness}: "
                 f"lhs = {self.lhs!r}, rhs = {self.rhs!r}")
+
+
+Law = tuple[str, Sequence[Sequence[int]], "SemigroupTable | None"]
+
+
+def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
+               laws: Sequence[Law]) -> CheckReport:
+    """Verify laws of the form
+
+        out[a][g1 g2] == combine(out[a][g1], out[a . g1][g2])
+
+    for every state a and all g1, g2 in ``gamma``, where a . g is
+    ``carrier[a][g]`` and each law is ``(name, out, combine)``: ``combine``
+    is a semigroup whose product takes the two sides, or None for the
+    right projection (x, y) |-> y.  The report is the first violation
+    in the order a, then g1, then g2, then the laws in the given order,
+    with ``witness == (a, g1, g2)`` and both sides as Python ints.
+
+    Only g2 in ``gamma.generating_set`` need checking, provided the
+    carrier obeys its own state law a . (g1 g2) == (a . g1) . g2 (the
+    law with ``out == carrier`` and the right projection).  Let H be the
+    set of h for which a law holds at every (a, g1, h).  For h, k in H,
+    writing a' = a . g1 and x * y for ``combine``,
+
+        out[a][g1 (h k)] == out[a][(g1 h) k]
+                         == out[a][g1 h] * out[a . (g1 h)][k]
+                         == (out[a][g1] * out[a'][h]) * out[a' . h][k]
+                         == out[a][g1] * (out[a'][h] * out[a' . h][k])
+                         == out[a][g1] * out[a'][h k],
+
+    using associativity of gamma, k in H, h in H together with
+    a . (g1 h) == a' . h, associativity of ``combine``, and k in H at
+    state a'.  So H is closed under the product and, holding the
+    generators, is all of gamma.  The step a . (g1 h) == a' . h is the
+    carrier's state law at h.  For the carrier's own state law (the case
+    out == carrier) that step is h in H itself, so the carrier law
+    follows from its generator instances with no premise, and it is
+    checked on the generators along with the laws: a law can hold on the
+    generators and fail elsewhere when the carrier is not an action.
+    This is Light's associativity argument again (see
+    ``_light_witness``), and the check costs O(|A||gamma||G|) instead of
+    O(|A||gamma|^2).
+
+    When the generator pass finds a failure, or the carrier is not an
+    action, each state row is scanned over all (g1, g2), in order, until
+    the first violation.
+    """
+    prod = gamma.array
+    nxt = np.asarray(carrier, dtype=np.intp)
+    tables = [(name, nxt if out is carrier else np.asarray(out, dtype=np.intp),
+               None if combine is None else combine.array)
+              for name, out, combine in laws]
+    gens = np.array(gamma.generating_set, dtype=np.intp)
+    cols = prod[:, gens]  # cols[g1, k] == g1 g_k
+
+    def holds_on_generators(out: np.ndarray, combine: np.ndarray | None) -> bool:
+        right = out[:, gens][nxt]  # right[a, g1, k] == out[a . g1][g_k]
+        rhs = right if combine is None else combine[out[:, :, None], right]
+        return np.array_equal(out[:, cols], rhs)
+
+    checks = [(out, combine) for _, out, combine in tables]
+    if not any(out is nxt and combine is None for out, combine in checks):
+        checks.insert(0, (nxt, None))
+    if all(holds_on_generators(out, combine) for out, combine in checks):
+        return CheckReport.passed()
+    n = gamma.order
+    for a, moved in enumerate(nxt):
+        first = None
+        for name, out, combine in tables:
+            lhs = out[a][prod]   # lhs[g1, g2] == out[a][g1 g2]
+            right = out[moved]   # right[g1, g2] == out[a . g1][g2]
+            rhs = right if combine is None else combine[out[a][:, None], right]
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size and (first is None or bad[0] < first[0]):
+                first = (int(bad[0]), name, lhs, rhs)
+        if first is not None:
+            k, name, lhs, rhs = first
+            return CheckReport.failed(name, (a, *divmod(k, n)),
+                                      int(lhs.flat[k]), int(rhs.flat[k]))
+    return CheckReport.passed()

@@ -8,6 +8,7 @@ canonical element order, so equal objects produce identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .cascade import CascadeTriplePure, CascadeTripleSemigroup
@@ -42,13 +43,15 @@ def _int(value, where: str) -> int:
 
 def _int_table(value, where: str) -> tuple[tuple[int, ...], ...]:
     _expect(isinstance(value, list), where, "expected a list of rows")
+    if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        return tuple(map(tuple, value))
     return tuple(_int_list(row, f"{where}[{i}]") for i, row in enumerate(value))
 
 
 def _int_list(value, where: str) -> tuple[int, ...]:
     _expect(isinstance(value, list), where, "expected a list")
-    for j, v in enumerate(value):
-        if type(v) is not int:  # JSON integers; anything else is judged by _int
+    if not set(map(type, value)) <= {int}:  # JSON integers; anything else is judged by _int
+        for j, v in enumerate(value):
             _int(v, f"{where}[{j}]")
     return tuple(value)
 
@@ -89,8 +92,7 @@ def load_semigroup_table(data, where: str) -> SemigroupTable:
         return SemigroupTable(
             order, product,
             _int_list(generators, f"{where}.generators") if generators is not None else None,
-            tuple(tuple(_int_list(w, f"{where}.names[{i}]"))
-                  for i, w in enumerate(names)) if names is not None else None)
+            _int_table(names, f"{where}.names") if names is not None else None)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -205,3 +205,139 @@ def all_actions(table: SemigroupTable, set_size: int) -> tuple[tuple[tuple[int, 
         if ok:
             found.append(action)
     return tuple(found)
+
+
+# --- law oracles: the plain triple loops ----------------------------------
+#
+# Each returns (ok, law, witness, lhs, rhs) for the first violation in
+# the order a, then g1, then g2, with the laws of one instance in the
+# order given, or (True, "", (), None, None).
+
+PASSED = (True, "", (), None, None)
+
+
+def first_axioms_oracle(m) -> tuple:
+    nxt, out, prod = m.next, m.out, m.gamma.product
+    for a in range(m.states.size):
+        for g1 in range(m.gamma.order):
+            a1 = nxt[a][g1]
+            for g2 in range(m.gamma.order):
+                g12 = prod[g1][g2]
+                if nxt[a][g12] != nxt[a1][g2]:
+                    return (False, "state law a.(g1 g2) == (a.g1).g2", (a, g1, g2),
+                            nxt[a][g12], nxt[a1][g2])
+                if out[a][g12] != out[a1][g2]:
+                    return (False, "output law a*(g1 g2) == (a.g1)*g2", (a, g1, g2),
+                            out[a][g12], out[a1][g2])
+    return PASSED
+
+
+def second_axioms_oracle(m) -> tuple:
+    nxt, out = m.next, m.out
+    gprod, sprod = m.gamma.product, m.sigma.product
+    for a in range(m.states.size):
+        for g1 in range(m.gamma.order):
+            a1 = nxt[a][g1]
+            for g2 in range(m.gamma.order):
+                g12 = gprod[g1][g2]
+                if nxt[a][g12] != nxt[a1][g2]:
+                    return (False, "state law a.(g1 g2) == (a.g1).g2", (a, g1, g2),
+                            nxt[a][g12], nxt[a1][g2])
+                rhs = sprod[out[a][g1]][out[a1][g2]]
+                if out[a][g12] != rhs:
+                    return (False, "accumulation law a*(g1 g2) == (a*g1)((a.g1)*g2)",
+                            (a, g1, g2), out[a][g12], rhs)
+    return PASSED
+
+
+def serial_oracle(s) -> tuple:
+    nxt, alpha = s.first.next, s.alpha
+    gprod, sprod = s.first.gamma.product, s.second.gamma.product
+    for a in range(s.first.states.size):
+        for g1 in range(s.first.gamma.order):
+            for g2 in range(s.first.gamma.order):
+                lhs = alpha[a][gprod[g1][g2]]
+                rhs = sprod[alpha[a][g1]][alpha[nxt[a][g1]][g2]]
+                if lhs != rhs:
+                    return (False,
+                            "connecting law alpha(a, g1 g2) == alpha(a, g1) alpha(a.g1, g2)",
+                            (a, g1, g2), lhs, rhs)
+    return PASSED
+
+
+def homomorphism_oracle(table: SemigroupTable, image, target: SemigroupTable,
+                        law: str) -> tuple:
+    for g1 in range(table.order):
+        for g2 in range(table.order):
+            lhs = image[table.product[g1][g2]]
+            rhs = target.product[image[g1]][image[g2]]
+            if lhs != rhs:
+                return (False, law, (g1, g2), lhs, rhs)
+    return PASSED
+
+
+def triple_oracle(t, m1, m2) -> tuple:
+    found = homomorphism_oracle(t.gamma, t.beta, m2.gamma, "beta homomorphism")
+    if not found[0]:
+        return found
+    prod, p1 = t.gamma.product, m1.gamma.product
+    for a2 in range(m2.states.size):
+        for g1 in range(t.gamma.order):
+            moved = m2.next[a2][t.beta[g1]]
+            for g2 in range(t.gamma.order):
+                lhs = t.alpha[a2][prod[g1][g2]]
+                rhs = p1[t.alpha[a2][g1]][t.alpha[moved][g2]]
+                if lhs != rhs:
+                    return (False, "crossed law alpha(a2, g1 g2) == "
+                            "alpha(a2, g1) alpha(a2.beta(g1), g2)", (a2, g1, g2), lhs, rhs)
+    return PASSED
+
+
+def triple_morphism_oracle(t, t2, mu) -> tuple:
+    found = homomorphism_oracle(t.gamma, mu, t2.gamma, "mu homomorphism")
+    if not found[0]:
+        return found
+    for g in range(t.gamma.order):
+        if t.beta[g] != t2.beta[mu[g]]:
+            return (False, "beta == beta' . mu", (g,), t.beta[g], t2.beta[mu[g]])
+        for a2 in range(len(t.alpha)):
+            if t.alpha[a2][g] != t2.alpha[a2][mu[g]]:
+                return (False, "alpha == alpha' . mu", (a2, g),
+                        t.alpha[a2][g], t2.alpha[a2][mu[g]])
+    return PASSED
+
+
+def action_oracle(action, table: SemigroupTable) -> tuple[int, int, int] | None:
+    """The first (a, s, s2) with a.(s s2) != (a.s).s2, or None."""
+    for a in range(len(action)):
+        for s in range(table.order):
+            for s2 in range(table.order):
+                if action[a][table.product[s][s2]] != action[action[a][s]][s2]:
+                    return a, s, s2
+    return None
+
+
+def as_table_oracle(name: str, table, rows: int, cols: int, bound: int):
+    """The entry-by-entry table check: the normalized table, or the
+    ValueError message naming the first bad row or entry."""
+    if len(table) != rows:
+        return f"{name}: expected {rows} rows, got {len(table)}"
+    norm = []
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != cols:
+            return f"{name}[{i}]: expected {cols} entries, got {len(row)}"
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < bound:
+                return f"{name}[{i}][{j}] = {v!r} out of range 0..{bound - 1}"
+        norm.append(row)
+    return tuple(norm)
+
+
+def smallest_generating_set(table: SemigroupTable) -> tuple[int, ...]:
+    """A generating set of least size, the first in lexicographic order."""
+    for size in range(1, table.order + 1):
+        for gens in itertools.combinations(range(table.order), size):
+            if is_generated_by(table.product, gens):
+                return gens
+    raise AssertionError("unreachable: the whole table generates itself")

@@ -1,6 +1,7 @@
 import itertools
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,14 @@ from autalg import (
     kernel_classes,
     multiply_pair,
 )
-from helpers import _is_associative, is_generated_by, naive_closure_table, semigroups_up_to_iso
+from autalg.core import as_table
+from helpers import (
+    _is_associative,
+    as_table_oracle,
+    is_generated_by,
+    naive_closure_table,
+    semigroups_up_to_iso,
+)
 
 
 def transformations(n):
@@ -129,6 +137,65 @@ class TestSemigroupTable:
     def test_rejects_wrong_name(self):
         with pytest.raises(ValueError, match="evaluates to"):
             SemigroupTable(2, ((0, 1), (1, 0)), generators=(1,), names=((0,), (0,)))
+
+    @pytest.mark.parametrize("letter", [5, 1, -1])
+    def test_rejects_name_letter_outside_the_generators(self, letter):
+        with pytest.raises(ValueError, match=rf"names\[0\] = \({letter},\): letter "
+                                             rf"{letter} out of range 0..0"):
+            SemigroupTable(1, ((0,),), generators=(0,), names=((letter,),))
+
+    def test_first_bad_name_is_reported(self):
+        # names[0] is empty and names[1] is wrong: the first one is named
+        with pytest.raises(ValueError, match=r"names\[0\] is empty"):
+            SemigroupTable(2, ((0, 1), (1, 0)), generators=(1,), names=((), (0,)))
+
+    @given(st.lists(transformations(3), min_size=1, max_size=2))
+    def test_keeps_its_validated_array(self, gens):
+        table = close_generators(gens, compose_transformations).table
+        assert table.array.dtype == np.intp and not table.array.flags.writeable
+        assert table.array.tolist() == [list(r) for r in table.product]
+        assert table.generating_set == tuple(dict.fromkeys(table.generators))
+        again = SemigroupTable(table.order, table.product, table.generators, table.names)
+        assert again == table and np.array_equal(again.array, table.array)
+        assert all(type(v) is int for row in table.product for v in row)
+
+    def test_ndarray_product_is_checked_like_a_list(self):
+        for bad in (np.array([[0, 1], [1, 2]]), np.array([[0, 1], [1, -1]])):
+            with pytest.raises(ValueError) as from_array:
+                SemigroupTable(2, bad)
+            with pytest.raises(ValueError) as from_list:
+                SemigroupTable(2, bad.tolist())
+            assert str(from_array.value) == str(from_list.value)
+        with pytest.raises(ValueError, match=r"product\[0\]: expected 2 entries, got 3"):
+            SemigroupTable(2, np.zeros((2, 3), dtype=np.intp))
+        with pytest.raises(ValueError, match=r"product\[0\]\[0\] = \S*0\.0\S* out of range"):
+            SemigroupTable(2, np.zeros((2, 2)))
+        assert SemigroupTable(2, np.array([[0, 1], [1, 0]])).product == ((0, 1), (1, 0))
+
+    def test_entry_beyond_a_machine_integer_is_out_of_range(self):
+        with pytest.raises(ValueError, match=rf"product\[0\]\[1\] = {10 ** 30} out of range"):
+            SemigroupTable(2, ((0, 10 ** 30), (1, 0)))
+
+
+ENTRIES = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.none(),
+                    st.just(np.int64(1)))
+
+
+class TestAsTable:
+    """The C-level fast path against the entry-by-entry oracle."""
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.data())
+    def test_matches_the_entry_loop(self, rows, cols, bound, data):
+        table = data.draw(st.lists(
+            st.lists(st.integers(0, bound - 1) | ENTRIES, min_size=max(0, cols - 1),
+                     max_size=cols + 1),
+            min_size=rows, max_size=rows + 1))
+        expected = as_table_oracle("t", table, rows, cols, bound)
+        try:
+            got = as_table("t", table, rows, cols, bound)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestGenerateSemigroup:

@@ -113,6 +113,22 @@ class TestRoundTrip:
                            match=rf"\.{where}: expected an integer, got (True|False)"):
             load_object(data)
 
+    @pytest.mark.parametrize("letter", [5, -1])
+    def test_name_letter_outside_the_generators_is_an_input_error(
+            self, tmp_path, capsys, letter):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({
+            "type": "first-semigroup", "states": {"size": 1}, "outputs": {"size": 1},
+            "semigroup": {"order": 1, "product": [[0]], "generators": [0],
+                          "names": [[letter]]},
+            "next": [[0]], "out": [[0]]}))
+        with pytest.raises(SchemaError, match=rf"letter {letter} out of range 0..0"):
+            load(path)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.semigroup: names[0] = ({letter},): "
+            f"letter {letter} out of range 0..0\n")
+
     def test_bool_machine_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps(BOOL_MEALY))
@@ -290,6 +306,16 @@ class TestConstructCommand:
                      str(FIXTURES / "first_pure_swap.json")]) == 2
         assert capsys.readouterr().err == (
             "error: closure table differs from the pair product\n")
+
+    def test_memory_error_is_an_error_exit(self, monkeypatch, capsys):
+        import autalg.cli as cli
+
+        def exhausted(m):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check_first_axioms", exhausted)
+        assert main(["check", str(FIXTURES / "first_semigroup_swap.json")]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     def test_wrong_input_type_is_an_input_error(self):
         assert main(["construct", "semigroupify",
