@@ -11,6 +11,7 @@ memory (``MemoryError``, printed as ``error: out of memory``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -319,7 +320,10 @@ def cmd_group(args) -> CommandResult:
     raise ValueError(f"unknown verb {verb!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` only
+    reads it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="autalg",
         description="Build, verify, and run algebraic automata stored as JSON files.")
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equal: cross-check by word agreement to this depth")
     group.add_argument("--max-power", type=int, default=64, help="order: power bound")
     group.add_argument("--max-states", type=int, default=100_000,
-                       help="order: state-count bound")
+                       help="order: bound on the states of every minimized power")
     group.add_argument("--dot", help="write a DOT rendering of the result")
     group.set_defaults(func=cmd_group)
     return parser

@@ -220,6 +220,19 @@ def all_words(alphabet_size: int, max_len: int) -> Iterator[Word]:
             yield Word(letters, alphabet_size)
 
 
+def bfs_order(next_table: Sequence[Sequence[int]], start: int) -> list[int]:
+    """The states reachable from ``start`` along the rows of ``next_table``,
+    in breadth-first order, each row's successors taken in column order."""
+    order = [start]
+    seen = {start}
+    for q in order:
+        for v in next_table[q]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return order
+
+
 def _right_closure(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
                    reached: np.ndarray) -> None:
     """Mark in ``reached`` the elements of ``start`` and, breadth first,

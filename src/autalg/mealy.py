@@ -4,11 +4,11 @@ the mappings they define.
 An initialized machine transforms every word over its alphabet into one
 of the same length.  Machines whose letter map is a permutation at every
 state have invertible mappings; composing, inverting, and comparing these
-mappings (exactly, via bisimulation) gives the group the machine
-generates.  Two standing fixtures ship here: the binary odometer, whose
-mapping adds one to least-significant-bit-first words, and the classical
-five-state machine with generators a, b, c, d whose mappings are
-involutions with b c == d.
+mappings (exactly, via canonical minimal machines) gives the group the
+machine generates.  Two standing fixtures ship here: the binary odometer,
+whose mapping adds one to least-significant-bit-first words, and the
+classical five-state machine with generators a, b, c, d whose mappings
+are involutions with b c == d.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteSet, Word, as_table
+from .core import FiniteSet, Word, as_table, bfs_order
 from .second_type import PureAutomatonSecond
 from .serial import AutomatonMapping, NotInvertible, apply_mapping
 
@@ -160,71 +160,64 @@ def element_invert(e: MealyElement) -> MealyElement:
                         e.initial)
 
 
-def _bisimulation_blocks(machines: list[MealyMachine]) -> list[list[int]]:
-    """Coarsest partition of the disjoint union of state sets where
-    equivalent states have equal letter maps and equivalent successors.
-    Block ids are assigned by first occurrence, so they are deterministic.
+def _bisimulation_blocks(nxt: list[list[int]], out: list[tuple[int, ...]]) -> list[int]:
+    """Coarsest partition of one machine's states, given by its tables,
+    where equivalent states have equal letter maps and equivalent
+    successors (Moore's refinement).  Block ids are assigned by first
+    occurrence in state order, so they are deterministic.
     """
-    offsets = []
-    nxt: list[tuple[int, ...]] = []
-    out: list[tuple[int, ...]] = []
-    for m in machines:
-        offset = len(nxt)
-        offsets.append(offset)
-        for q in range(m.states):
-            nxt.append(tuple(v + offset for v in m.next[q]))
-            out.append(m.out[q])
-    total = len(nxt)
     keys: dict[tuple, int] = {}
     block = [keys.setdefault(row, len(keys)) for row in out]
     while True:
         keys = {}
-        refined = [keys.setdefault((block[q],) + tuple(block[v] for v in nxt[q]),
-                                   len(keys))
-                   for q in range(total)]
+        refined = [keys.setdefault((b, *[block[v] for v in row]), len(keys))
+                   for b, row in zip(block, nxt)]
         if refined == block:
-            break
+            return block
         block = refined
-    return [block[offsets[i]:offsets[i] + machines[i].states]
-            for i in range(len(machines))]
-
-
-def element_equal(e1: MealyElement, e2: MealyElement) -> bool:
-    """Do the two mappings agree on every word?  Decided exactly by
-    partition refinement; no depth bound."""
-    if e1.machine.alphabet != e2.machine.alphabet:
-        raise ValueError("alphabet mismatch")
-    b1, b2 = _bisimulation_blocks([e1.machine, e2.machine])
-    return b1[e1.initial] == b2[e2.initial]
 
 
 def minimize_element(e: MealyElement) -> MealyElement:
-    """An equivalent element on the fewest states: restrict to the part
-    reachable from the initial state, then merge bisimilar states.
-    States of the result are numbered in reachability (breadth-first)
-    order of their first representatives."""
+    """The canonical form of ``e``: an equivalent element on the fewest
+    states.  Only the part reachable from the initial state is refined;
+    bisimilar states are merged, and the states of the result are
+    numbered in breadth-first order (letters in increasing order) of
+    their first representatives, so the initial state is 0.
+
+    That numbering is the breadth-first numbering of the result itself.
+    Breadth-first order sorts states by their shortlex-least access word,
+    and the least access word of a merged state is the least one of its
+    members.  Hence two elements with the same mapping minimize to equal
+    values (see ``element_equal``).
+    """
     m = e.machine
-    reach = [e.initial]
-    seen = {e.initial}
-    for q in reach:
-        for x in range(m.alphabet):
-            v = m.next[q][x]
-            if v not in seen:
-                seen.add(v)
-                reach.append(v)
-    block = _bisimulation_blocks([m])[0]
-    renumber: dict[int, int] = {}
-    for q in reach:
-        if block[q] not in renumber:
-            renumber[block[q]] = len(renumber)
-    reps: list[int] = [0] * len(renumber)
-    for q in reach:
-        reps[renumber[block[q]]] = q
-    nxt = tuple(tuple(renumber[block[m.next[reps[i]][x]]] for x in range(m.alphabet))
-                for i in range(len(reps)))
-    out = tuple(m.out[reps[i]] for i in range(len(reps)))
-    machine = MealyMachine(len(reps), m.alphabet, nxt, out)
-    return MealyElement(machine, renumber[block[e.initial]])
+    reach = bfs_order(m.next, e.initial)
+    index = {q: i for i, q in enumerate(reach)}
+    nxt = [[index[v] for v in m.next[q]] for q in reach]
+    block = _bisimulation_blocks(nxt, [m.out[q] for q in reach])
+    reps: dict[int, int] = {}
+    for i, b in enumerate(block):
+        reps.setdefault(b, i)
+    new_next = tuple(tuple(block[v] for v in nxt[i]) for i in reps.values())
+    new_out = tuple(m.out[reach[i]] for i in reps.values())
+    return MealyElement(MealyMachine(len(reps), m.alphabet, new_next, new_out), 0)
+
+
+def element_equal(e1: MealyElement, e2: MealyElement) -> bool:
+    """Do the two mappings agree on every word?  Decided exactly, with no
+    depth bound, by comparing canonical forms.
+
+    The minimal machine of a mapping with every state reachable is unique
+    up to an isomorphism that fixes the initial state (Moore 1956): its
+    states are the mapping's distinct restrictions to suffixes, reached
+    by prefixes.  Such an isomorphism preserves access words, so it
+    preserves the breadth-first numbering ``minimize_element`` gives,
+    and is therefore the identity on the numbered tables.  Two mappings
+    are equal exactly when their minimized elements are.
+    """
+    if e1.machine.alphabet != e2.machine.alphabet:
+        raise ValueError("alphabet mismatch")
+    return minimize_element(e1) == minimize_element(e2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,27 +237,24 @@ class OrderResult:
 
 
 def element_order_bounded(e: MealyElement, max_power: int = 64,
-                          max_states: int = 100_000,
-                          minimize_threshold: int = 64) -> OrderResult:
+                          max_states: int = 100_000) -> OrderResult:
     """Smallest k <= max_power with e^k the identity mapping.
 
-    Powers are built by composition and minimized whenever they exceed
-    ``minimize_threshold`` states; if a minimized power still exceeds
-    ``max_states`` the search reports the bound instead of failing.
+    Every power is minimized as soon as it is built, so e^k is the
+    identity exactly when it equals the one-state identity element.  If
+    a minimized power has more than ``max_states`` states the search
+    reports the bound instead of failing.
     """
     bad = non_invertible_state(e.machine)
     if bad is not None:
         raise NotInvertible(bad, f"letter map at state {bad} is not a permutation")
     ident = identity_element(e.machine.alphabet)
-    power = e
+    e = power = minimize_element(e)
     for k in range(1, max_power + 1):
-        if element_equal(power, ident):
+        if power == ident:
             return OrderResult(k, k)
-        if k == max_power:
-            break
-        power = element_compose(power, e)
-        if power.machine.states > minimize_threshold:
-            power = minimize_element(power)
-            if power.machine.states > max_states:
-                return OrderResult(None, k + 1, "state cap")
+        if power.machine.states > max_states:
+            return OrderResult(None, k, "state cap")
+        if k < max_power:
+            power = minimize_element(element_compose(power, e))
     return OrderResult(None, max_power, "power cap")

@@ -214,8 +214,32 @@ def load_object(data, where: str = "file"):
     raise SchemaError(f"{where}: unknown type {kind!r}")
 
 
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, nested ``pad`` deep.  With an indent ``json.dumps`` runs its
+    pure-Python encoder; this writer joins each list of plain ints in one
+    call and hands everything else it does not write itself (other
+    scalars, empty containers, dicts with non-str keys) to ``json.dumps``."""
+    if type(value) is int:
+        return str(value)
+    if type(value) in (list, tuple) and value:
+        inner = pad + "  "
+        items = (map(str, value) if set(map(type, value)) == {int}
+                 else (_encode(v, inner) for v in value))
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        inner = pad + "  "
+        items = (f"{json.dumps(k)}: {_encode(value[k], inner)}" for k in sorted(value))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # escaped strings hold no raw newline, so re-indenting is exact
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def dumps(obj) -> str:
-    return json.dumps(dump_object(obj), indent=2, sort_keys=True) + "\n"
+    """The object's JSON text: sorted keys, two-space indent, a final
+    newline; byte for byte what ``json.dumps(..., indent=2,
+    sort_keys=True)`` gives."""
+    return _encode(dump_object(obj), "") + "\n"
 
 
 def save(path: str | Path, obj) -> None:

@@ -12,11 +12,10 @@ the inverse by peeling one letter at a time.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import CheckReport, FiniteSet, SemigroupTable, Word, as_table, check_laws
+from .core import CheckReport, FiniteSet, SemigroupTable, Word, as_table, bfs_order, check_laws
 from .first_type import SemigroupAutomatonFirst
 from .second_type import PureAutomatonSecond, SemigroupAutomatonSecond, free_extension_out
 
@@ -130,16 +129,7 @@ def apply_mapping(f: AutomatonMapping, u: Word) -> Word:
 
 
 def reachable_states(base: PureAutomatonSecond, start: int) -> frozenset[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for x in range(base.inputs.size):
-            b = base.next[a][x]
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return frozenset(seen)
+    return frozenset(bfs_order(base.next, start))
 
 
 @lru_cache(maxsize=8192)

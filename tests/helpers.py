@@ -25,6 +25,8 @@ from autalg import (
     close_generators,
     compose_transformations,
     element_apply,
+    element_compose,
+    identity_element,
 )
 
 
@@ -341,3 +343,89 @@ def smallest_generating_set(table: SemigroupTable) -> tuple[int, ...]:
             if is_generated_by(table.product, gens):
                 return gens
     raise AssertionError("unreachable: the whole table generates itself")
+
+
+# --- letter machines: whole-machine refinement -------------------------
+
+def union_blocks_oracle(machines) -> list[list[int]]:
+    """Moore's refinement over the disjoint union of all the machines'
+    states, unreachable ones included; block ids by first occurrence."""
+    offsets = []
+    nxt: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
+    for m in machines:
+        offsets.append(len(nxt))
+        for q in range(m.states):
+            nxt.append(tuple(v + offsets[-1] for v in m.next[q]))
+            out.append(m.out[q])
+    keys: dict[tuple, int] = {}
+    block = [keys.setdefault(row, len(keys)) for row in out]
+    while True:
+        keys = {}
+        refined = [keys.setdefault((block[q],) + tuple(block[v] for v in nxt[q]), len(keys))
+                   for q in range(len(nxt))]
+        if refined == block:
+            break
+        block = refined
+    return [block[offsets[i]:offsets[i] + m.states] for i, m in enumerate(machines)]
+
+
+def equal_oracle(e1: MealyElement, e2: MealyElement) -> bool:
+    """Equality of mappings: are the initial states bisimilar in the
+    union of the two machines?"""
+    b1, b2 = union_blocks_oracle([e1.machine, e2.machine])
+    return b1[e1.initial] == b2[e2.initial]
+
+
+def minimize_oracle(e: MealyElement) -> MealyElement:
+    """Refine the whole machine, then keep the blocks reachable from the
+    initial state, numbered in breadth-first order of their first
+    representatives."""
+    m = e.machine
+    block = union_blocks_oracle([m])[0]
+    reach = [e.initial]
+    for q in reach:
+        for x in range(m.alphabet):
+            if m.next[q][x] not in reach:
+                reach.append(m.next[q][x])
+    renumber: dict[int, int] = {}
+    rep: dict[int, int] = {}
+    for q in reach:
+        if block[q] not in renumber:
+            renumber[block[q]] = len(renumber)
+            rep[renumber[block[q]]] = q
+    nxt = tuple(tuple(renumber[block[v]] for v in m.next[rep[i]]) for i in range(len(rep)))
+    out = tuple(m.out[rep[i]] for i in range(len(rep)))
+    return MealyElement(MealyMachine(len(rep), m.alphabet, nxt, out),
+                        renumber[block[e.initial]])
+
+
+def order_oracle(e: MealyElement, max_power: int):
+    """The order search of an invertible element that minimizes a power
+    only once it exceeds 64 states, with a cap of 100,000 states on those
+    powers: (order or None, power reached, reason)."""
+    ident = identity_element(e.machine.alphabet)
+    power = e
+    for k in range(1, max_power + 1):
+        if equal_oracle(power, ident):
+            return k, k, ""
+        if k == max_power:
+            break
+        power = element_compose(power, e)
+        if power.machine.states > 64:
+            power = minimize_oracle(power)
+            if power.machine.states > 100_000:
+                return None, k + 1, "state cap"
+    return None, max_power, "power cap"
+
+
+def relabel(e: MealyElement, perm: list[int]) -> MealyElement:
+    """The same element with state q renamed perm[q]."""
+    m = e.machine
+    nxt = [None] * m.states
+    out = [None] * m.states
+    for q in range(m.states):
+        nxt[perm[q]] = tuple(perm[v] for v in m.next[q])
+        out[perm[q]] = m.out[q]
+    return MealyElement(MealyMachine(m.states, m.alphabet, tuple(nxt), tuple(out)),
+                        perm[e.initial])

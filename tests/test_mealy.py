@@ -21,7 +21,34 @@ from autalg import (
     minimize_element,
     odometer,
 )
-from helpers import plus_k_oracle, random_mealy, words_agree_to_depth
+from helpers import (
+    equal_oracle,
+    minimize_oracle,
+    order_oracle,
+    plus_k_oracle,
+    random_mealy,
+    relabel,
+    words_agree_to_depth,
+)
+
+
+@st.composite
+def elements(draw, alphabet: int, max_states: int = 6, invertible: bool | None = None):
+    """A random element over ``alphabet`` letters.  The initial state is
+    random, so states are often unreachable; letter maps are permutations
+    at every state or arbitrary."""
+    n = draw(st.integers(1, max_states))
+    nxt = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=alphabet,
+                                 max_size=alphabet), min_size=n, max_size=n))
+    if invertible is None:
+        invertible = draw(st.booleans())
+    if invertible:
+        out = [draw(st.permutations(range(alphabet))) for _ in range(n)]
+    else:
+        out = draw(st.lists(st.lists(st.integers(0, alphabet - 1), min_size=alphabet,
+                                     max_size=alphabet), min_size=n, max_size=n))
+    m = MealyMachine(n, alphabet, tuple(map(tuple, nxt)), tuple(map(tuple, out)))
+    return MealyElement(m, draw(st.integers(0, n - 1)))
 
 
 class TestElementApply:
@@ -166,6 +193,54 @@ class TestMinimize:
         assert small.machine.states == 1
 
 
+class TestCanonicalForm:
+    """The reachable-part refinement and canonical-form comparison
+    against the whole-machine refinements in helpers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_minimize_matches_whole_machine_oracle(self, data):
+        e = data.draw(elements(data.draw(st.integers(1, 3))))
+        assert minimize_element(e) == minimize_oracle(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_relabelled_copy_has_the_same_canonical_form(self, data):
+        e = data.draw(elements(data.draw(st.integers(1, 3))))
+        perm = data.draw(st.permutations(range(e.machine.states)))
+        assert minimize_element(relabel(e, perm)) == minimize_element(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_matches_union_oracle(self, data):
+        alphabet = data.draw(st.integers(1, 3))
+        e1 = data.draw(elements(alphabet, max_states=4))
+        e2 = data.draw(st.one_of(
+            elements(alphabet, max_states=4),
+            st.permutations(range(e1.machine.states)).map(lambda p: relabel(e1, p)),
+            st.just(element_compose(e1, identity_element(alphabet)))))
+        assert element_equal(e1, e2) == equal_oracle(e1, e2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_order_matches_the_threshold_loop(self, data):
+        e = data.draw(elements(data.draw(st.integers(2, 3)), max_states=3, invertible=True))
+        result = element_order_bounded(e, max_power=8)
+        assert (result.order, result.reached, result.reason) == order_oracle(e, max_power=8)
+
+    def test_order_checks_invertibility_of_the_machine_as_given(self):
+        # state 1 is unreachable from state 0 and would be dropped by minimizing
+        m = MealyMachine(2, 2, ((0, 0), (0, 0)), ((1, 0), (1, 1)))
+        with pytest.raises(NotInvertible) as caught:
+            element_order_bounded(MealyElement(m, 0))
+        assert caught.value.state == 1
+
+    def test_canonical_form_of_the_identity(self):
+        echo = MealyElement(MealyMachine(3, 2, ((1, 2), (2, 1), (0, 0)),
+                                         ((0, 1), (0, 1), (0, 1))), 2)
+        assert minimize_element(echo) == identity_element(2)
+
+
 class TestOrderBounded:
     def test_identity_has_order_one(self):
         assert element_order_bounded(identity_element(2)).order == 1
@@ -180,10 +255,10 @@ class TestOrderBounded:
         assert "power cap" in result.reason
 
     def test_state_cap_reported(self):
-        result = element_order_bounded(odometer(), max_power=64, max_states=3,
-                                       minimize_threshold=1)
+        result = element_order_bounded(odometer(), max_power=64, max_states=3)
         assert result.order is None
         assert result.reason == "state cap"
+        assert result.reached == 3
 
     def test_product_bd_is_the_third_involution(self):
         g = grigorchuk_elements()

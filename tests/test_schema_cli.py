@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autalg import (
     FiniteSet,
@@ -17,7 +19,7 @@ from autalg import (
 )
 from autalg.cli import CommandResult, main, parse_word
 from autalg.dot import to_dot
-from autalg.schema import SchemaError, dump_object, dumps, load, load_object, save
+from autalg.schema import SchemaError, _encode, dump_object, dumps, load, load_object, save
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -86,6 +88,17 @@ class TestRoundTrip:
         obj = load(FIXTURES / name)
         save(tmp_path / "copy.json", obj)
         assert (tmp_path / "copy.json").read_text() == dumps(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+        | st.floats() | st.text(max_size=4),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(st.integers(-3, 10**20), max_size=4)
+                          | st.dictionaries(st.text(max_size=3), children, max_size=4)),
+        max_leaves=20))
+    def test_writer_matches_json_dumps(self, value):
+        assert _encode(value, "") + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     def test_bad_range_names_the_entry(self):
         with pytest.raises(SchemaError, match=r"next\[0\]\[0\]"):
@@ -352,6 +365,11 @@ class TestGroupCommand:
         assert main(["group", "order", str(FIXTURES / "mealy_grigorchuk.json")]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_state_cap_bounds_every_minimized_power(self, capsys):
+        assert main(["group", "order", str(FIXTURES / "mealy_odometer.json"),
+                     "--max-states", "3"]) == 0
+        assert capsys.readouterr().out == "exceeds bound (state cap, reached power 3)\n"
+
     def test_order_bound_reported_but_passes(self, capsys):
         assert main(["group", "order", str(FIXTURES / "mealy_odometer.json"),
                      "--max-power", "8"]) == 0
@@ -417,6 +435,19 @@ class TestCommandResult:
         assert CommandResult("pass").exit_code == 0
         assert CommandResult("fail", witness=(1,)).exit_code == 1
         assert CommandResult("error").exit_code == 2
+
+
+def test_main_runs_repeatedly_in_one_process(capsys):
+    assert main(["group", "order"]) == 2
+    assert "usage: autalg" in capsys.readouterr().err
+    assert main(["-h"]) == 0
+    assert "usage: autalg" in capsys.readouterr().out
+    assert main(["group", "order", str(FIXTURES / "mealy_grigorchuk.json")]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+    assert main(["check", str(FIXTURES / "first_semigroup_corrupt.json")]) == 1
+    assert capsys.readouterr().out.startswith("fail")
+    assert main(["check", str(FIXTURES / "mealy_odometer.json")]) == 0
+    assert capsys.readouterr() == ("pass (invertible)\n", "")
 
 
 def test_console_script_runs():
