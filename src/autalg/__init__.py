@@ -31,7 +31,6 @@ from .core import (
     identity_transformation,
     kernel_classes,
     multiply_pair,
-    trivial_semigroup,
 )
 from .first_type import (
     PureAutomatonFirst,

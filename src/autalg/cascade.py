@@ -41,6 +41,17 @@ def product_set(s1: FiniteSet, s2: FiniteSet) -> FiniteSet:
     return FiniteSet(s1.size * s2.size, labels)
 
 
+def _set_triple_tables(t, columns: int, unit: str) -> None:
+    """Store a triple's alpha and beta as tuples, each ``columns`` wide."""
+    object.__setattr__(t, "alpha", tuple(tuple(r) for r in t.alpha))
+    object.__setattr__(t, "beta", tuple(t.beta))
+    if len(t.beta) != columns:
+        raise ValueError(f"beta has {len(t.beta)} entries for {unit}")
+    for i, row in enumerate(t.alpha):
+        if len(row) != columns:
+            raise ValueError(f"alpha[{i}] has {len(row)} entries for {unit}")
+
+
 @dataclass(frozen=True, slots=True)
 class CascadeTriplePure:
     """The datum (X, alpha, beta) steering a cascade of pure automata."""
@@ -50,13 +61,7 @@ class CascadeTriplePure:
     beta: tuple[int, ...]               # [x]     -> input of the second automaton
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(tuple(r) for r in self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        if len(self.beta) != self.inputs.size:
-            raise ValueError(f"beta has {len(self.beta)} entries for {self.inputs.size} inputs")
-        for i, row in enumerate(self.alpha):
-            if len(row) != self.inputs.size:
-                raise ValueError(f"alpha[{i}] has {len(row)} entries for {self.inputs.size} inputs")
+        _set_triple_tables(self, self.inputs.size, f"{self.inputs.size} inputs")
 
 
 def check_pure_triple(t: CascadeTriplePure, m1: PureAutomatonFirst,
@@ -66,28 +71,28 @@ def check_pure_triple(t: CascadeTriplePure, m1: PureAutomatonFirst,
     as_table("beta", (t.beta,), 1, t.inputs.size, m2.inputs.size)
 
 
+def _cascade_tables(m1, m2, t) -> tuple:
+    """States, outputs, transition and output tables of the cascade of
+    m1 and m2 along ``t``: column x of the cascade runs m1 on
+    alpha(a2, x) and m2 on beta(x)."""
+    n2, b2 = m2.states.size, m2.outputs.size
+    columns = [list(zip(row, t.beta)) for row in t.alpha]  # [a2][x] -> (x1, x2)
+    nxt, out = [], []
+    for a1 in range(m1.states.size):
+        next1, out1 = m1.next[a1], m1.out[a1]
+        for next2, out2, pairs in zip(m2.next, m2.out, columns):
+            nxt.append(tuple(next1[x1] * n2 + next2[x2] for x1, x2 in pairs))
+            out.append(tuple(out1[x1] * b2 + out2[x2] for x1, x2 in pairs))
+    return (product_set(m1.states, m2.states), product_set(m1.outputs, m2.outputs),
+            tuple(nxt), tuple(out))
+
+
 def cascade_pure(m1: PureAutomatonFirst, m2: PureAutomatonFirst,
                  t: CascadeTriplePure) -> PureAutomatonFirst:
     """The cascade connection of two pure automata along a triple."""
     check_pure_triple(t, m1, m2)
-    n2 = m2.states.size
-    b2 = m2.outputs.size
-    states = product_set(m1.states, m2.states)
-    outputs = product_set(m1.outputs, m2.outputs)
-    nxt = []
-    out = []
-    for a1 in range(m1.states.size):
-        for a2 in range(n2):
-            nrow = []
-            orow = []
-            for x in range(t.inputs.size):
-                x1 = t.alpha[a2][x]
-                x2 = t.beta[x]
-                nrow.append(m1.next[a1][x1] * n2 + m2.next[a2][x2])
-                orow.append(m1.out[a1][x1] * b2 + m2.out[a2][x2])
-            nxt.append(tuple(nrow))
-            out.append(tuple(orow))
-    return PureAutomatonFirst(states, t.inputs, outputs, tuple(nxt), tuple(out))
+    states, outputs, nxt, out = _cascade_tables(m1, m2, t)
+    return PureAutomatonFirst(states, t.inputs, outputs, nxt, out)
 
 
 def check_triple_morphism(t: CascadeTriplePure, t2: CascadeTriplePure,
@@ -100,8 +105,16 @@ def check_triple_morphism(t: CascadeTriplePure, t2: CascadeTriplePure,
         raise ValueError(f"mu has {len(mu)} entries for {t.inputs.size} inputs")
     if len(t.alpha) != len(t2.alpha):
         raise ValueError("triples live over different second-component state sets")
+    return _commutes_with_mu(t, t2, mu)
+
+
+def _commutes_with_mu(t, t2, mu: Sequence[int]) -> CheckReport:
+    """Does ``mu`` carry t's alpha and beta into t2's?  Reports the first
+    column x, in order, where beta == beta' . mu or else alpha == alpha' . mu
+    fails.  Both triples have the same number of alpha rows; an entry of
+    ``mu`` outside t2's columns raises."""
     for x, mx in enumerate(mu):
-        if not 0 <= mx < t2.inputs.size:
+        if not 0 <= mx < len(t2.beta):
             raise ValueError(f"mu[{x}] = {mx} out of range")
         if t.beta[x] != t2.beta[mx]:
             return CheckReport.failed("beta == beta' . mu", (x,), t.beta[x], t2.beta[mx])
@@ -125,13 +138,7 @@ class CascadeTripleSemigroup:
     beta: tuple[int, ...]               # [g]     -> element of Gamma2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(tuple(r) for r in self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        if len(self.beta) != self.gamma.order:
-            raise ValueError(f"beta has {len(self.beta)} entries for order {self.gamma.order}")
-        for i, row in enumerate(self.alpha):
-            if len(row) != self.gamma.order:
-                raise ValueError(f"alpha[{i}] has {len(row)} entries for order {self.gamma.order}")
+        _set_triple_tables(self, self.gamma.order, f"order {self.gamma.order}")
 
 
 def _check_homomorphism(gamma: SemigroupTable, image: Sequence[int],
@@ -179,14 +186,7 @@ def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTriple
     report = _check_homomorphism(t.gamma, mu, t2.gamma, "mu homomorphism")
     if not report.ok:
         return report
-    for g in range(t.gamma.order):
-        if t.beta[g] != t2.beta[mu[g]]:
-            return CheckReport.failed("beta == beta' . mu", (g,), t.beta[g], t2.beta[mu[g]])
-        for a2 in range(len(t.alpha)):
-            if t.alpha[a2][g] != t2.alpha[a2][mu[g]]:
-                return CheckReport.failed("alpha == alpha' . mu", (a2, g),
-                                          t.alpha[a2][g], t2.alpha[a2][mu[g]])
-    return CheckReport.passed()
+    return _commutes_with_mu(t, t2, mu)
 
 
 def cascade_semigroup(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
@@ -195,24 +195,8 @@ def cascade_semigroup(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
     triple; with a valid triple the result satisfies the action laws."""
     as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
     as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
-    n2 = m2.states.size
-    b2 = m2.outputs.size
-    states = product_set(m1.states, m2.states)
-    outputs = product_set(m1.outputs, m2.outputs)
-    nxt = []
-    out = []
-    for a1 in range(m1.states.size):
-        for a2 in range(n2):
-            nrow = []
-            orow = []
-            for g in range(t.gamma.order):
-                g1 = t.alpha[a2][g]
-                g2 = t.beta[g]
-                nrow.append(m1.next[a1][g1] * n2 + m2.next[a2][g2])
-                orow.append(m1.out[a1][g1] * b2 + m2.out[a2][g2])
-            nxt.append(tuple(nrow))
-            out.append(tuple(orow))
-    return SemigroupAutomatonFirst(states, t.gamma, outputs, tuple(nxt), tuple(out))
+    states, outputs, nxt, out = _cascade_tables(m1, m2, t)
+    return SemigroupAutomatonFirst(states, t.gamma, outputs, nxt, out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -152,6 +152,20 @@ def _word_bound_check(obj, max_len: int) -> CheckReport:
     return CheckReport.passed()
 
 
+def _load_as(path: str, kind, what: str):
+    obj = schema.load(path)
+    if not isinstance(obj, kind):
+        raise schema.SchemaError(f"{path}: expected {what}")
+    return obj
+
+
+def _component_type(triple) -> tuple:
+    """The automaton type a cascade triple steers, and its name."""
+    if isinstance(triple, CascadeTripleSemigroup):
+        return SemigroupAutomatonFirst, "a first-semigroup automaton"
+    return (PureAutomatonFirst, PureAutomatonSecond), "a first-pure or second-pure automaton"
+
+
 def cmd_check(args) -> CommandResult:
     obj = schema.load(args.file)
     paths: list[str] = []
@@ -172,8 +186,7 @@ def cmd_check(args) -> CommandResult:
                 break
     elif isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
         if args.components:
-            m1 = schema.load(args.components[0])
-            m2 = schema.load(args.components[1])
+            m1, m2 = (_load_as(path, *_component_type(obj)) for path in args.components)
             if isinstance(obj, CascadeTriplePure):
                 check_pure_triple(obj, m1, m2)
             else:
@@ -192,13 +205,6 @@ def cmd_check(args) -> CommandResult:
     return _passed("pass" + suffix, tuple(paths))
 
 
-def _load_as(path: str, kind, what: str):
-    obj = schema.load(path)
-    if not isinstance(obj, kind):
-        raise schema.SchemaError(f"{path}: expected {what}")
-    return obj
-
-
 def cmd_construct(args) -> CommandResult:
     paths: list[str] = []
     verb = args.verb
@@ -206,9 +212,9 @@ def cmd_construct(args) -> CommandResult:
         source = _load_as(args.inputs[0], PureAutomatonFirst, "a first-pure automaton")
         built = semigroupify(source, cap=args.cap)
     elif verb == "cascade":
-        m1 = schema.load(args.inputs[0])
-        m2 = schema.load(args.inputs[1])
-        triple = schema.load(args.inputs[2])
+        triple = _load_as(args.inputs[2], (CascadeTriplePure, CascadeTripleSemigroup),
+                          "a cascade-triple")
+        m1, m2 = (_load_as(path, *_component_type(triple)) for path in args.inputs[:2])
         if isinstance(triple, CascadeTripleSemigroup):
             report = check_semigroup_triple(triple, m1, m2)
             if not report.ok:
@@ -266,12 +272,8 @@ def cmd_construct(args) -> CommandResult:
 
 
 def _load_element(path: str) -> MealyElement:
-    obj = schema.load(path)
-    if isinstance(obj, MealyMachine):
-        return MealyElement(obj, 0)
-    if isinstance(obj, MealyElement):
-        return obj
-    raise schema.SchemaError(f"{path}: expected a mealy machine")
+    obj = _load_as(path, (MealyMachine, MealyElement), "a mealy machine")
+    return MealyElement(obj, 0) if isinstance(obj, MealyMachine) else obj
 
 
 def cmd_group(args) -> CommandResult:

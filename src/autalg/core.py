@@ -250,6 +250,14 @@ def _right_closure(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
         candidates = product[frontier[:, None], gens].ravel()
 
 
+def unreached(product: np.ndarray, gens: Sequence[int]) -> list[int]:
+    """The elements, in order, that are not products of ``gens``."""
+    reached = np.zeros(len(product), dtype=bool)
+    start = np.array(gens, dtype=np.intp)
+    _right_closure(product, start, start, reached)
+    return np.flatnonzero(~reached).tolist()
+
+
 def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
     """A generating set chosen greedily: each element not yet reached by
     right multiplication joins it, in index order."""
@@ -317,6 +325,24 @@ def _square_table(product, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndar
 
 
 @dataclass(frozen=True, slots=True)
+class PureAutomaton:
+    """States x inputs -> states/outputs, with no structure on outputs:
+    just a pair of tables.  The two automaton models subclass it, so that
+    their pure objects share this code but stay distinct types."""
+
+    states: FiniteSet
+    inputs: FiniteSet
+    outputs: FiniteSet
+    next: tuple[tuple[int, ...], ...]
+    out: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        a, x = self.states.size, self.inputs.size
+        object.__setattr__(self, "next", as_table("next", self.next, a, x, a))
+        object.__setattr__(self, "out", as_table("out", self.out, a, x, self.outputs.size))
+
+
+@dataclass(frozen=True, slots=True)
 class SemigroupTable:
     """A finite semigroup as a total multiplication table.
 
@@ -356,11 +382,8 @@ class SemigroupTable:
             for g in gens:
                 if not 0 <= g < n:
                     raise ValueError(f"generator index {g} out of range")
-            reached = np.zeros(n, dtype=bool)
-            start = np.array(gens, dtype=np.intp)
-            _right_closure(array, start, start, reached)
-            if not reached.all():
-                missing = np.flatnonzero(~reached).tolist()
+            missing = unreached(array, gens)
+            if missing:
                 raise ValueError(f"elements {missing} not generated by {gens}")
         else:
             gens = _greedy_generators(array)
@@ -395,10 +418,6 @@ class SemigroupTable:
 
     def multiply(self, i: int, j: int) -> int:
         return self.product[i][j]
-
-
-def trivial_semigroup() -> SemigroupTable:
-    return SemigroupTable(1, ((0,),), generators=(0,), names=((0,),))
 
 
 @dataclass(frozen=True, slots=True)

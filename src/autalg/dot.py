@@ -3,9 +3,12 @@ with the output annotated after a slash."""
 
 from __future__ import annotations
 
-from .first_type import PureAutomatonFirst, SemigroupAutomatonFirst
+from functools import partial
+
+from .core import PureAutomaton
+from .first_type import SemigroupAutomatonFirst
 from .mealy import MealyElement, MealyMachine
-from .second_type import PureAutomatonSecond, SemigroupAutomatonSecond
+from .second_type import SemigroupAutomatonSecond
 
 
 def _quote(s: str) -> str:
@@ -20,40 +23,25 @@ def _element_label(table, g: int) -> str:
 
 def to_dot(obj) -> str:
     """Render any automaton or machine as a DOT digraph."""
-    lines = ["digraph {", "  rankdir=LR;"]
-    if isinstance(obj, (PureAutomatonFirst, PureAutomatonSecond)):
-        for a in range(obj.states.size):
-            lines.append(f"  {a} [label={_quote(obj.states.label(a))}];")
-        for a in range(obj.states.size):
-            for x in range(obj.inputs.size):
-                label = f"{obj.inputs.label(x)}/{obj.outputs.label(obj.out[a][x])}"
-                lines.append(f"  {a} -> {obj.next[a][x]} [label={_quote(label)}];")
-    elif isinstance(obj, SemigroupAutomatonFirst):
-        for a in range(obj.states.size):
-            lines.append(f"  {a} [label={_quote(obj.states.label(a))}];")
-        for a in range(obj.states.size):
-            for g in range(obj.gamma.order):
-                label = f"{_element_label(obj.gamma, g)}/{obj.outputs.label(obj.out[a][g])}"
-                lines.append(f"  {a} -> {obj.next[a][g]} [label={_quote(label)}];")
-    elif isinstance(obj, SemigroupAutomatonSecond):
-        for a in range(obj.states.size):
-            lines.append(f"  {a} [label={_quote(obj.states.label(a))}];")
-        for a in range(obj.states.size):
-            for g in range(obj.gamma.order):
-                label = (f"{_element_label(obj.gamma, g)}/"
-                         f"{_element_label(obj.sigma, obj.out[a][g])}")
-                lines.append(f"  {a} -> {obj.next[a][g]} [label={_quote(label)}];")
-    elif isinstance(obj, (MealyMachine, MealyElement)):
-        machine = obj.machine if isinstance(obj, MealyElement) else obj
-        initial = obj.initial if isinstance(obj, MealyElement) else None
-        for q in range(machine.states):
-            shape = "doublecircle" if q == initial else "circle"
-            lines.append(f"  {q} [shape={shape}];")
-        for q in range(machine.states):
-            for x in range(machine.alphabet):
-                label = f"{x}/{machine.out[q][x]}"
-                lines.append(f"  {q} -> {machine.next[q][x]} [label={_quote(label)}];")
+    initial = None
+    if isinstance(obj, MealyElement):
+        obj, initial = obj.machine, obj.initial
+    if isinstance(obj, MealyMachine):
+        nodes = [f"shape={'doublecircle' if q == initial else 'circle'}"
+                 for q in range(obj.states)]
+        column = output = str
+    elif isinstance(obj, (PureAutomaton, SemigroupAutomatonFirst, SemigroupAutomatonSecond)):
+        nodes = [f"label={_quote(obj.states.label(a))}" for a in range(obj.states.size)]
+        column = (obj.inputs.label if isinstance(obj, PureAutomaton)
+                  else partial(_element_label, obj.gamma))
+        output = (partial(_element_label, obj.sigma) if isinstance(obj, SemigroupAutomatonSecond)
+                  else obj.outputs.label)
     else:
         raise TypeError(f"no DOT renderer for {type(obj).__name__}")
+    lines = ["digraph {", "  rankdir=LR;"]
+    lines += [f"  {a} [{attributes}];" for a, attributes in enumerate(nodes)]
+    for a, (row, outs) in enumerate(zip(obj.next, obj.out)):
+        for x, (b, y) in enumerate(zip(row, outs)):
+            lines.append(f"  {a} -> {b} [label={_quote(f'{column(x)}/{output(y)}')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

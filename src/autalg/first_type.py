@@ -24,6 +24,7 @@ from .core import (
     FiniteSet,
     FunMap,
     PairElement,
+    PureAutomaton,
     SemigroupTable,
     Transformation,
     VerificationError,
@@ -35,20 +36,10 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PureAutomatonFirst:
-    """States x inputs -> states/outputs, with no structure on outputs."""
+class PureAutomatonFirst(PureAutomaton):
+    """A pure automaton whose runs output their final step only."""
 
-    states: FiniteSet
-    inputs: FiniteSet
-    outputs: FiniteSet
-    next: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        a, x = self.states.size, self.inputs.size
-        object.__setattr__(self, "next", as_table("next", self.next, a, x, a))
-        object.__setattr__(self, "out", as_table("out", self.out, a, x, self.outputs.size))
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)

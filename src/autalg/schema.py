@@ -3,6 +3,16 @@ handles, with a "type" discriminator.
 
 All indices are zero-based.  Files are written with sorted keys and a
 canonical element order, so equal objects produce identical bytes.
+
+The type table ``_TYPES`` is the one place where a tag, its class and
+its fields are decided: ``load_object`` and ``dump_object`` both read
+it, and each field kind has one load and one dump function.  Two tags
+name two classes each, and a key picks between them:
+
+* ``cascade-triple`` is a semigroup triple when ``gamma`` is present,
+  else a pure triple (whose ``inputs`` default to one per ``beta`` entry);
+* ``mealy`` is a ``MealyElement`` when ``initial`` is present, else a
+  ``MealyMachine``.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 from .cascade import CascadeTriplePure, CascadeTripleSemigroup
 from .core import FiniteSet, SemigroupTable
@@ -56,6 +67,14 @@ def _int_list(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _build(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError a SchemaError at ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def dump_finite_set(s: FiniteSet) -> dict:
     data: dict = {"size": s.size}
     if s.labels is not None:
@@ -68,18 +87,19 @@ def load_finite_set(data, where: str) -> FiniteSet:
     labels = data.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list), f"{where}.labels", "expected a list")
-    try:
-        return FiniteSet(size, tuple(labels) if labels is not None else None)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return _build(FiniteSet, where, size, tuple(labels) if labels is not None else None)
+
+
+def _rows(table) -> list:
+    return [list(r) for r in table]
 
 
 def dump_semigroup_table(t: SemigroupTable) -> dict:
     return {
         "order": t.order,
-        "product": [list(r) for r in t.product],
+        "product": _rows(t.product),
         "generators": list(t.generators) if t.generators is not None else None,
-        "names": [list(w) for w in t.names] if t.names is not None else None,
+        "names": _rows(t.names) if t.names is not None else None,
     }
 
 
@@ -97,121 +117,103 @@ def load_semigroup_table(data, where: str) -> SemigroupTable:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _dump_tables(obj) -> dict:
-    return {"next": [list(r) for r in obj.next], "out": [list(r) for r in obj.out]}
+# A field kind is a pair of functions: load(data, key, where, loaded)
+# reads the field from its object's JSON ``data``, given the fields
+# ``loaded`` before it, and dump(value, key) gives the JSON entries that
+# hold it.
+
+
+def _keyed(load: Callable, dump: Callable) -> tuple[Callable, Callable]:
+    """The kind of a required field stored under its own key."""
+    return (lambda data, key, where, loaded: load(_get(data, key, where), f"{where}.{key}"),
+            lambda value, key: {key: dump(value)})
+
+
+def _load_class(cls, data, where: str):
+    """Load ``data`` as the table's ``cls``, whose tag it carries."""
+    _, _, _, fields = _BY_CLASS[cls]
+    loaded: dict = {}
+    for key, (load, _) in fields:
+        loaded[key] = load(data, key, where, loaded)
+    return _build(cls, where, **{_ATTRIBUTE.get(key, key): value for key, value in loaded.items()})
 
 
 def dump_object(obj) -> dict:
     """Serialize any supported object, tagged with its type."""
-    if isinstance(obj, PureAutomatonFirst):
-        return {"type": "first-pure", "states": dump_finite_set(obj.states),
-                "inputs": dump_finite_set(obj.inputs),
-                "outputs": dump_finite_set(obj.outputs), **_dump_tables(obj)}
-    if isinstance(obj, SemigroupAutomatonFirst):
-        return {"type": "first-semigroup", "states": dump_finite_set(obj.states),
-                "semigroup": dump_semigroup_table(obj.gamma),
-                "outputs": dump_finite_set(obj.outputs), **_dump_tables(obj)}
-    if isinstance(obj, PureAutomatonSecond):
-        return {"type": "second-pure", "states": dump_finite_set(obj.states),
-                "inputs": dump_finite_set(obj.inputs),
-                "outputs": dump_finite_set(obj.outputs), **_dump_tables(obj)}
-    if isinstance(obj, SemigroupAutomatonSecond):
-        return {"type": "second-semigroup", "states": dump_finite_set(obj.states),
-                "semigroup": dump_semigroup_table(obj.gamma),
-                "sigma": dump_semigroup_table(obj.sigma), **_dump_tables(obj)}
-    if isinstance(obj, CascadeTriplePure):
-        return {"type": "cascade-triple", "inputs": dump_finite_set(obj.inputs),
-                "alpha": [list(r) for r in obj.alpha], "beta": list(obj.beta)}
-    if isinstance(obj, CascadeTripleSemigroup):
-        return {"type": "cascade-triple", "gamma": dump_semigroup_table(obj.gamma),
-                "alpha": [list(r) for r in obj.alpha], "beta": list(obj.beta)}
-    if isinstance(obj, MealyElement):
-        data = dump_object(obj.machine)
-        data["initial"] = obj.initial
-        return data
-    if isinstance(obj, MealyMachine):
-        return {"type": "mealy", "states": obj.states, "alphabet": obj.alphabet,
-                "next": [list(r) for r in obj.next], "out": [list(r) for r in obj.out]}
-    if isinstance(obj, GeneratorHom):
-        return {"type": "generator-hom", "alphabet_size": obj.alphabet_size,
-                "target": dump_semigroup_table(obj.target),
-                "assignment": list(obj.assignment)}
-    if isinstance(obj, SerialConnection):
-        return {"type": "serial", "first": dump_object(obj.first),
-                "second": dump_object(obj.second),
-                "alpha": [list(r) for r in obj.alpha]}
-    raise TypeError(f"no schema for {type(obj).__name__}")
+    row = _BY_CLASS.get(type(obj))
+    if row is None:
+        raise TypeError(f"no schema for {type(obj).__name__}")
+    tag, _, _, fields = row
+    data = {"type": tag}
+    for key, (_, dump) in fields:
+        data.update(dump(getattr(obj, _ATTRIBUTE.get(key, key)), key))
+    return data
 
 
 def load_object(data, where: str = "file"):
     """Deserialize any supported object by its type tag."""
-    kind = _get(data, "type", where)
-    try:
-        if kind == "first-pure":
-            return PureAutomatonFirst(
-                load_finite_set(_get(data, "states", where), f"{where}.states"),
-                load_finite_set(_get(data, "inputs", where), f"{where}.inputs"),
-                load_finite_set(_get(data, "outputs", where), f"{where}.outputs"),
-                _int_table(_get(data, "next", where), f"{where}.next"),
-                _int_table(_get(data, "out", where), f"{where}.out"))
-        if kind == "first-semigroup":
-            return SemigroupAutomatonFirst(
-                load_finite_set(_get(data, "states", where), f"{where}.states"),
-                load_semigroup_table(_get(data, "semigroup", where), f"{where}.semigroup"),
-                load_finite_set(_get(data, "outputs", where), f"{where}.outputs"),
-                _int_table(_get(data, "next", where), f"{where}.next"),
-                _int_table(_get(data, "out", where), f"{where}.out"))
-        if kind == "second-pure":
-            return PureAutomatonSecond(
-                load_finite_set(_get(data, "states", where), f"{where}.states"),
-                load_finite_set(_get(data, "inputs", where), f"{where}.inputs"),
-                load_finite_set(_get(data, "outputs", where), f"{where}.outputs"),
-                _int_table(_get(data, "next", where), f"{where}.next"),
-                _int_table(_get(data, "out", where), f"{where}.out"))
-        if kind == "second-semigroup":
-            return SemigroupAutomatonSecond(
-                load_finite_set(_get(data, "states", where), f"{where}.states"),
-                load_semigroup_table(_get(data, "semigroup", where), f"{where}.semigroup"),
-                load_semigroup_table(_get(data, "sigma", where), f"{where}.sigma"),
-                _int_table(_get(data, "next", where), f"{where}.next"),
-                _int_table(_get(data, "out", where), f"{where}.out"))
-        if kind == "cascade-triple":
-            alpha = _int_table(_get(data, "alpha", where), f"{where}.alpha")
-            beta = _int_list(_get(data, "beta", where), f"{where}.beta")
-            if "gamma" in data:
-                return CascadeTripleSemigroup(
-                    load_semigroup_table(data["gamma"], f"{where}.gamma"), alpha, beta)
-            inputs = (load_finite_set(data["inputs"], f"{where}.inputs")
-                      if "inputs" in data else FiniteSet(len(beta)))
-            return CascadeTriplePure(inputs, alpha, beta)
-        if kind == "mealy":
-            machine = MealyMachine(
-                _int(_get(data, "states", where), f"{where}.states"),
-                _int(_get(data, "alphabet", where), f"{where}.alphabet"),
-                _int_table(_get(data, "next", where), f"{where}.next"),
-                _int_table(_get(data, "out", where), f"{where}.out"))
-            if "initial" in data:
-                return MealyElement(machine, _int(data["initial"], f"{where}.initial"))
-            return machine
-        if kind == "generator-hom":
-            return GeneratorHom(
-                _int(_get(data, "alphabet_size", where), f"{where}.alphabet_size"),
-                load_semigroup_table(_get(data, "target", where), f"{where}.target"),
-                _int_list(_get(data, "assignment", where), f"{where}.assignment"))
-        if kind == "serial":
-            first = load_object(_get(data, "first", where), f"{where}.first")
-            second = load_object(_get(data, "second", where), f"{where}.second")
-            _expect(isinstance(first, SemigroupAutomatonFirst), f"{where}.first",
-                    "must be a first-semigroup automaton")
-            _expect(isinstance(second, SemigroupAutomatonFirst), f"{where}.second",
-                    "must be a first-semigroup automaton")
-            return SerialConnection(first, second,
-                                    _int_table(_get(data, "alpha", where), f"{where}.alpha"))
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown type {kind!r}")
+    tag = _get(data, "type", where)
+    for _, cls, selector, _ in _BY_TAG.get(tag, ()) if isinstance(tag, str) else ():
+        if selector is None or selector in data:
+            return _load_class(cls, data, where)
+    raise SchemaError(f"{where}: unknown type {tag!r}")
+
+
+def _require_first_semigroup(data, key: str, where: str, loaded: dict):
+    _expect(isinstance(loaded[key], SemigroupAutomatonFirst), f"{where}.{key}",
+            "must be a first-semigroup automaton")
+    return loaded[key]
+
+
+def _load_triple_inputs(data, key: str, where: str, loaded: dict) -> FiniteSet:
+    """A pure triple's inputs, which may be left out: one per beta entry."""
+    if key in data:
+        return load_finite_set(data[key], f"{where}.{key}")
+    return _build(FiniteSet, where, len(loaded["beta"]))
+
+
+_INT = _keyed(_int, int)
+_INT_LIST = _keyed(_int_list, list)
+_INT_TABLE = _keyed(_int_table, _rows)
+_FINITE_SET = _keyed(load_finite_set, dump_finite_set)
+_SEMIGROUP = _keyed(load_semigroup_table, dump_semigroup_table)
+_OBJECT = _keyed(load_object, dump_object)
+# a check on a field loaded earlier, which writes nothing
+_MUST_BE_FIRST_SEMIGROUP = (_require_first_semigroup, lambda value, key: {})
+_TRIPLE_INPUTS = (_load_triple_inputs, _FINITE_SET[1])
+# a machine stored in the same JSON object as the element that pins it
+_MEALY_MACHINE = (lambda data, key, where, loaded: _load_class(MealyMachine, data, where),
+                  lambda value, key: dump_object(value))
+
+_TABLES = (("next", _INT_TABLE), ("out", _INT_TABLE))
+_PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_SET), *_TABLES)
+
+# (tag, class, key whose presence selects the class, fields in load order)
+_TYPES = (
+    ("first-pure", PureAutomatonFirst, None, _PURE),
+    ("first-semigroup", SemigroupAutomatonFirst, None, (
+        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("outputs", _FINITE_SET), *_TABLES)),
+    ("second-pure", PureAutomatonSecond, None, _PURE),
+    ("second-semigroup", SemigroupAutomatonSecond, None, (
+        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("sigma", _SEMIGROUP), *_TABLES)),
+    ("cascade-triple", CascadeTripleSemigroup, "gamma", (
+        ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("gamma", _SEMIGROUP))),
+    ("cascade-triple", CascadeTriplePure, None, (
+        ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("inputs", _TRIPLE_INPUTS))),
+    # the machine is validated before the initial state is read
+    ("mealy", MealyElement, "initial", (("machine", _MEALY_MACHINE), ("initial", _INT))),
+    ("mealy", MealyMachine, None, (("states", _INT), ("alphabet", _INT), *_TABLES)),
+    ("generator-hom", GeneratorHom, None, (
+        ("alphabet_size", _INT), ("target", _SEMIGROUP), ("assignment", _INT_LIST))),
+    # the components are type-checked only once both have loaded
+    ("serial", SerialConnection, None, (
+        ("first", _OBJECT), ("second", _OBJECT), ("first", _MUST_BE_FIRST_SEMIGROUP),
+        ("second", _MUST_BE_FIRST_SEMIGROUP), ("alpha", _INT_TABLE))),
+)
+_BY_TAG = {tag: [row for row in _TYPES if row[0] == tag] for tag, *_ in _TYPES}
+_BY_CLASS = {row[1]: row for row in _TYPES}
+# JSON keys that name a differently named attribute
+_ATTRIBUTE = {"semigroup": "gamma"}
 
 
 def _encode(value, pad: str) -> str:
@@ -247,8 +249,9 @@ def save(path: str | Path, obj) -> None:
 
 
 def load(path: str | Path):
-    try:
-        data = json.loads(Path(path).read_text())
+    try:  # the text is freed before validation, which allocates tables of its size
+        return load_object(json.loads(Path(path).read_text()), where=str(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return load_object(data, where=str(path))
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nested too deeply") from exc

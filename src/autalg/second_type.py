@@ -16,29 +16,21 @@ from dataclasses import dataclass
 from .core import (
     CheckReport,
     FiniteSet,
+    PureAutomaton,
     SemigroupTable,
     VerificationError,
     Word,
     as_table,
     check_laws,
+    evaluate_word,
+    unreached,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PureAutomatonSecond:
-    """States x inputs -> states/outputs; outputs will later be fed to a
-    semigroup, but the pure object itself is just a pair of tables."""
+class PureAutomatonSecond(PureAutomaton):
+    """A pure automaton whose outputs will later be fed to a semigroup."""
 
-    states: FiniteSet
-    inputs: FiniteSet
-    outputs: FiniteSet
-    next: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        a, x = self.states.size, self.inputs.size
-        object.__setattr__(self, "next", as_table("next", self.next, a, x, a))
-        object.__setattr__(self, "out", as_table("out", self.out, a, x, self.outputs.size))
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,30 +106,14 @@ class GeneratorHom:
         for x, e in enumerate(self.assignment):
             if not 0 <= e < self.target.order:
                 raise ValueError(f"assignment[{x}] = {e} out of range")
-        reached = set(self.assignment)
-        frontier = list(reached)
-        prod = self.target.product
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in self.assignment:
-                    p = prod[e][g]
-                    if p not in reached:
-                        reached.add(p)
-                        new.append(p)
-            frontier = new
-        if len(reached) != self.target.order:
-            missing = sorted(set(range(self.target.order)) - reached)
+        missing = unreached(self.target.array, self.assignment)
+        if missing:
             raise ValueError(f"not surjective: elements {missing} unreached")
 
     def apply(self, w: Word) -> int:
         if w.alphabet_size != self.alphabet_size:
             raise ValueError("alphabet mismatch")
-        e = self.assignment[w.letters[0]]
-        prod = self.target.product
-        for letter in w.letters[1:]:
-            e = prod[e][self.assignment[letter]]
-        return e
+        return evaluate_word(self.target, self.assignment, w)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,7 @@
+import copy
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,34 @@ CHECK_EXPECTATIONS = {
 BOOL_MEALY = {"type": "mealy", "states": True, "initial": False, "alphabet": 2,
               "next": [[0, 0]], "out": [[0, 1]]}
 
+CORPUS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+
+
+def _sites(node, path=()):
+    """Every key and list entry below ``node``, as paths from it."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _sites(child, path + (key,))
+
+
+# (fixture, path) for every spot a single mutation can hit
+MUTATION_SITES = [(name, path) for name, data in CORPUS.items() for path in _sites(data)]
+DELETE = object()
+
+
+def _mutated(name: str, path: tuple, value):
+    data = copy.deepcopy(CORPUS[name])
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
 
 def test_manifest_covers_the_corpus():
     assert {p.name for p in FIXTURES.glob("*.json")} == set(CHECK_EXPECTATIONS)
@@ -99,6 +129,35 @@ class TestRoundTrip:
         max_leaves=20))
     def test_writer_matches_json_dumps(self, value):
         assert _encode(value, "") + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(MUTATION_SITES),
+           st.sampled_from([DELETE, None, True, False, "x", [], [0], {}, {"size": 1}])
+           | st.integers(-3, 9) | st.just(2**70))
+    def test_single_mutation_is_a_schema_error_or_round_trips(self, site, value):
+        data = _mutated(*site, value)
+        try:
+            obj = load_object(data)
+        except SchemaError:
+            return
+        text = dumps(obj)
+        assert dumps(load_object(json.loads(text))) == text
+
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, None, 3])
+    def test_unhashable_or_odd_type_tag_is_unknown(self, kind):
+        with pytest.raises(SchemaError, match=rf"^file: unknown type {re.escape(repr(kind))}$"):
+            load_object({"type": kind})
+
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys):
+        brackets = tmp_path / "brackets.json"
+        brackets.write_text("[" * 100_000)
+        serial = tmp_path / "serial.json"
+        serial.write_text('{"type": "serial", "first": ' * 990 + "{}" + "}" * 990)
+        for path in (brackets, serial):
+            with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "):
+                load(path)
+            assert main(["check", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_bad_range_names_the_entry(self):
         with pytest.raises(SchemaError, match=r"next\[0\]\[0\]"):
@@ -334,6 +393,12 @@ class TestConstructCommand:
         assert main(["construct", "semigroupify",
                      str(FIXTURES / "mealy_odometer.json")]) == 2
 
+    def test_pure_triple_accepts_second_pure_components(self):
+        assert main(["construct", "cascade",
+                     str(FIXTURES / "second_pure_twoinputs.json"),
+                     str(FIXTURES / "first_pure_tick.json"),
+                     str(FIXTURES / "cascade_triple_pure.json")]) == 0
+
 
 class TestGroupCommand:
     def test_apply_odometer(self, capsys):
@@ -437,6 +502,39 @@ class TestCommandResult:
         assert CommandResult("error").exit_code == 2
 
 
+# a cascade's or a checked triple's input files of the wrong type
+@pytest.mark.parametrize("argv, bad", [
+    (["check", "cascade_triple_pure.json", "--components",
+      "mealy_odometer.json", "mealy_odometer.json"], "mealy_odometer.json"),
+    (["check", "cascade_triple_pure.json", "--components",
+      "first_pure_keepswap.json", "first_semigroup_z2.json"], "first_semigroup_z2.json"),
+    (["check", "cascade_triple_semigroup.json", "--components",
+      "first_pure_swap.json", "first_semigroup_z2.json"], "first_pure_swap.json"),
+    (["check", "cascade_triple_semigroup.json", "--components",
+      "first_semigroup_z2.json", "serial_reset.json"], "serial_reset.json"),
+    (["check", "cascade_triple_semigroup.json", "--components",
+      "second_semigroup_parity.json", "first_semigroup_z2.json"],
+     "second_semigroup_parity.json"),
+    (["construct", "cascade", "first_pure_swap.json", "first_pure_swap.json",
+      "first_pure_swap.json"], "first_pure_swap.json"),
+    (["construct", "cascade", "first_pure_keepswap.json", "mealy_odometer.json",
+      "cascade_triple_pure.json"], "mealy_odometer.json"),
+    (["construct", "cascade", "first_semigroup_z2.json", "first_semigroup_z2.json",
+      "cascade_triple_pure.json"], "first_semigroup_z2.json"),
+    (["construct", "cascade", "second_semigroup_parity.json",
+      "first_semigroup_z2.json", "cascade_triple_semigroup.json"],
+     "second_semigroup_parity.json"),
+    (["construct", "cascade", "first_pure_keepswap.json", "first_pure_tick.json",
+      "hom_mu_parity.json"], "hom_mu_parity.json"),
+])
+def test_wrong_component_type_is_an_input_error(capsys, argv, bad):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {FIXTURES / bad}: expected ")
+
+
 def test_main_runs_repeatedly_in_one_process(capsys):
     assert main(["group", "order"]) == 2
     assert "usage: autalg" in capsys.readouterr().err
@@ -457,6 +555,30 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 0"
+
+
+DOT_PINS = {
+    "first_pure_swap.json":
+        'digraph {\n  rankdir=LR;\n  0 [label="even"];\n  1 [label="odd"];\n'
+        '  0 -> 1 [label="x/0"];\n  1 -> 0 [label="x/1"];\n}\n',
+    "first_semigroup_swap.json":
+        'digraph {\n  rankdir=LR;\n  0 [label="even"];\n  1 [label="odd"];\n'
+        '  0 -> 1 [label="g0/0"];\n  0 -> 0 [label="g0g0/1"];\n'
+        '  1 -> 0 [label="g0/1"];\n  1 -> 1 [label="g0g0/0"];\n}\n',
+    "second_semigroup_parity.json":
+        'digraph {\n  rankdir=LR;\n  0 [label="0"];\n  1 [label="1"];\n'
+        '  0 -> 0 [label="e0/e0"];\n  0 -> 1 [label="e1/e1"];\n'
+        '  1 -> 1 [label="e0/e0"];\n  1 -> 0 [label="e1/e1"];\n}\n',
+    "mealy_odometer.json":
+        'digraph {\n  rankdir=LR;\n  0 [shape=doublecircle];\n  1 [shape=circle];\n'
+        '  0 -> 1 [label="0/1"];\n  0 -> 0 [label="1/0"];\n'
+        '  1 -> 1 [label="0/0"];\n  1 -> 1 [label="1/1"];\n}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_PINS))
+def test_dot_text_is_pinned(name):
+    assert to_dot(load(FIXTURES / name)) == DOT_PINS[name]
 
 
 def test_dot_renders_every_automaton_shape():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from autalg import (
     FiniteSet,
     GeneratorHom,
+    PureAutomatonFirst,
     PureAutomatonSecond,
     QuotientWitness,
     SemigroupAutomatonSecond,
@@ -93,9 +94,17 @@ class TestFreeExtension:
         assert len(free_extension_out(m, 0, w)) == len(w)
 
 
+def test_pure_twins_with_equal_fields_are_distinct_types():
+    fields = (FiniteSet(2), FiniteSet(1), FiniteSet(1), ((1,), (0,)), ((0,), (0,)))
+    first, second = PureAutomatonFirst(*fields), PureAutomatonSecond(*fields)
+    assert first != second and second != first
+    assert not isinstance(first, PureAutomatonSecond)
+    assert not isinstance(second, PureAutomatonFirst)
+
+
 class TestGeneratorHom:
     def test_rejects_non_surjective(self):
-        with pytest.raises(ValueError, match="not surjective"):
+        with pytest.raises(ValueError, match=r"^not surjective: elements \[1\] unreached$"):
             GeneratorHom(1, Z2, (0,))  # the identity of Z2 does not generate it
 
     def test_apply_folds_products(self):
@@ -103,6 +112,8 @@ class TestGeneratorHom:
         assert mu.apply(Word((0,), 1)) == 1
         assert mu.apply(Word((0, 0), 1)) == 0
         assert mu.apply(Word((0, 0, 0), 1)) == 1
+        with pytest.raises(ValueError, match="^alphabet mismatch$"):
+            mu.apply(Word((0,), 2))
 
 
 class TestQuotientConstruct:
