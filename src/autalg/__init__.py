@@ -66,7 +66,6 @@ from .cascade import (
     product_set,
     wreath_automaton,
     wreath_product,
-    wreath_semigroup,
     wreath_triple,
 )
 from .serial import (

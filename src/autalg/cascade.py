@@ -105,17 +105,22 @@ def check_triple_morphism(t: CascadeTriplePure, t2: CascadeTriplePure,
         raise ValueError(f"mu has {len(mu)} entries for {t.inputs.size} inputs")
     if len(t.alpha) != len(t2.alpha):
         raise ValueError("triples live over different second-component state sets")
+    _check_mu_range(mu, len(t2.beta))
     return _commutes_with_mu(t, t2, mu)
+
+
+def _check_mu_range(mu: Sequence[int], size: int) -> None:
+    for x, mx in enumerate(mu):
+        if not 0 <= mx < size:
+            raise ValueError(f"mu[{x}] = {mx} out of range")
 
 
 def _commutes_with_mu(t, t2, mu: Sequence[int]) -> CheckReport:
     """Does ``mu`` carry t's alpha and beta into t2's?  Reports the first
     column x, in order, where beta == beta' . mu or else alpha == alpha' . mu
-    fails.  Both triples have the same number of alpha rows; an entry of
-    ``mu`` outside t2's columns raises."""
+    fails.  Both triples have the same number of alpha rows, and every
+    entry of ``mu`` is one of t2's columns."""
     for x, mx in enumerate(mu):
-        if not 0 <= mx < len(t2.beta):
-            raise ValueError(f"mu[{x}] = {mx} out of range")
         if t.beta[x] != t2.beta[mx]:
             return CheckReport.failed("beta == beta' . mu", (x,), t.beta[x], t2.beta[mx])
         for a2 in range(len(t.alpha)):
@@ -183,6 +188,7 @@ def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTriple
         raise ValueError(f"mu has {len(mu)} entries for order {t.gamma.order}")
     if len(t.alpha) != len(t2.alpha):
         raise ValueError("triples live over different second-component state sets")
+    _check_mu_range(mu, t2.gamma.order)
     report = _check_homomorphism(t.gamma, mu, t2.gamma, "mu homomorphism")
     if not report.ok:
         return report
@@ -264,13 +270,6 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
         product[i] = (ranks[:, None] + p2[s]).ravel()
     table = SemigroupTable(order, product)
     return WreathProduct(g1, a2, action, g2, table, elements)
-
-
-def wreath_semigroup(g1: SemigroupTable, a2: FiniteSet,
-                     action: tuple[tuple[int, ...], ...], g2: SemigroupTable,
-                     cap: int = DEFAULT_CAP) -> SemigroupTable:
-    """The wreath product's multiplication table alone."""
-    return wreath_product(g1, a2, action, g2, cap).table
 
 
 def wreath_triple(w: WreathProduct) -> CascadeTripleSemigroup:

@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dot as dot_mod
@@ -64,31 +64,26 @@ from .serial import NotInvertible, SerialConnection, check_serial, derive_second
 
 @dataclass(frozen=True)
 class CommandResult:
-    """What a command concluded: a status, an optional counterexample, and
-    any files it wrote."""
+    """What a command concluded: a status and the message to print."""
 
     status: str  # pass | fail | error
-    witness: object = None
-    artifact_paths: tuple[str, ...] = ()
     message: str = ""
 
     def __post_init__(self) -> None:
         if self.status not in ("pass", "fail", "error"):
             raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("fail results carry a witness")
 
     @property
     def exit_code(self) -> int:
         return {"pass": 0, "fail": 1, "error": 2}[self.status]
 
 
-def _passed(message: str = "pass", paths: tuple[str, ...] = ()) -> CommandResult:
-    return CommandResult("pass", artifact_paths=paths, message=message)
+def _passed(message: str) -> CommandResult:
+    return CommandResult("pass", message)
 
 
-def _failed(witness, message: str) -> CommandResult:
-    return CommandResult("fail", witness=witness, message=message)
+def _failed(message: str) -> CommandResult:
+    return CommandResult("fail", message)
 
 
 def parse_word(tokens: list[str], alphabet_size: int) -> Word:
@@ -112,18 +107,16 @@ def format_word(w: Word) -> str:
     return " ".join(str(letter) for letter in w.letters)
 
 
-def _write(path: str | None, obj, paths: list[str]) -> str:
+def _write(path: str | None, obj) -> str:
     if path is None:
         return schema.dumps(obj).rstrip("\n")
     schema.save(path, obj)
-    paths.append(path)
     return f"wrote {path}"
 
 
-def _export_dot(path: str | None, obj, paths: list[str]) -> None:
+def _export_dot(path: str | None, obj) -> None:
     if path is not None:
         Path(path).write_text(dot_mod.to_dot(obj))
-        paths.append(path)
 
 
 def _word_bound_check(obj, max_len: int) -> CheckReport:
@@ -168,8 +161,7 @@ def _component_type(triple) -> tuple:
 
 def cmd_check(args) -> CommandResult:
     obj = schema.load(args.file)
-    paths: list[str] = []
-    _export_dot(args.dot, obj, paths)
+    _export_dot(args.dot, obj)
     report = CheckReport.passed()
     notes = []
     if isinstance(obj, SemigroupAutomatonFirst):
@@ -200,13 +192,12 @@ def cmd_check(args) -> CommandResult:
         report = _word_bound_check(obj, args.max_len)
     if not report.ok:
         prefix = f"{notes[0]}: " if notes else ""
-        return _failed(report, prefix + report.describe())
+        return _failed(prefix + report.describe())
     suffix = f" ({'; '.join(notes)})" if notes else ""
-    return _passed("pass" + suffix, tuple(paths))
+    return _passed("pass" + suffix)
 
 
 def cmd_construct(args) -> CommandResult:
-    paths: list[str] = []
     verb = args.verb
     if verb == "semigroupify":
         source = _load_as(args.inputs[0], PureAutomatonFirst, "a first-pure automaton")
@@ -218,7 +209,7 @@ def cmd_construct(args) -> CommandResult:
         if isinstance(triple, CascadeTripleSemigroup):
             report = check_semigroup_triple(triple, m1, m2)
             if not report.ok:
-                return _failed(report, report.describe())
+                return _failed(report.describe())
             built = cascade_semigroup(m1, m2, triple)
         else:
             built = cascade_pure(m1, m2, triple)
@@ -228,7 +219,6 @@ def cmd_construct(args) -> CommandResult:
         built, triple = wreath_automaton(m1, m2, cap=args.cap)
         if args.triple_out:
             schema.save(args.triple_out, triple)
-            paths.append(args.triple_out)
     elif verb == "serial":
         source = _load_as(args.inputs[0], SemigroupAutomatonSecond,
                           "a second-semigroup automaton")
@@ -242,7 +232,7 @@ def cmd_construct(args) -> CommandResult:
         nu = _load_as(args.inputs[2], GeneratorHom, "a generator-hom")
         outcome = quotient_construct(source, mu, nu)
         if isinstance(outcome, QuotientWitness):
-            return _failed(outcome, "incompatible: " + outcome.describe())
+            return _failed("incompatible: " + outcome.describe())
         built = outcome
     elif verb == "embed":
         triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
@@ -250,25 +240,24 @@ def cmd_construct(args) -> CommandResult:
         m2 = _load_as(args.inputs[2], SemigroupAutomatonFirst, "a first-semigroup automaton")
         report = check_semigroup_triple(triple, m1, m2)
         if not report.ok:
-            return _failed(report, "triple invalid: " + report.describe())
+            return _failed("triple invalid: " + report.describe())
         w = wreath_product(m1.gamma, m2.states, m2.next, m2.gamma, cap=args.cap)
         try:
             mapping = embed_into_wreath(triple, w)
         except VerificationError as exc:
-            return _failed(str(exc), f"embedding verification failed: {exc}")
+            return _failed(f"embedding verification failed: {exc}")
         message = "embedding " + " ".join(str(v) for v in mapping)
         if args.output:
             Path(args.output).write_text(json.dumps(
                 {"type": "embedding", "mapping": list(mapping)},
                 indent=2, sort_keys=True) + "\n")
-            paths.append(args.output)
             message += f"\nwrote {args.output}"
-        return _passed(message, tuple(paths))
+        return _passed(message)
     else:  # unreachable behind argparse choices
         raise ValueError(f"unknown verb {verb!r}")
-    message = _write(args.output, built, paths)
-    _export_dot(args.dot, built, paths)
-    return _passed(message, tuple(paths))
+    message = _write(args.output, built)
+    _export_dot(args.dot, built)
+    return _passed(message)
 
 
 def _load_element(path: str) -> MealyElement:
@@ -277,7 +266,6 @@ def _load_element(path: str) -> MealyElement:
 
 
 def cmd_group(args) -> CommandResult:
-    paths: list[str] = []
     verb = args.verb
     if verb == "apply":
         e = _load_element(args.inputs[0])
@@ -287,14 +275,14 @@ def cmd_group(args) -> CommandResult:
         e1 = _load_element(args.inputs[0])
         e2 = _load_element(args.inputs[1])
         built = element_compose(e1, e2)
-        message = _write(args.output, built, paths)
-        _export_dot(args.dot, built, paths)
-        return _passed(message, tuple(paths))
+        message = _write(args.output, built)
+        _export_dot(args.dot, built)
+        return _passed(message)
     if verb == "invert":
         built = element_invert(_load_element(args.inputs[0]))
-        message = _write(args.output, built, paths)
-        _export_dot(args.dot, built, paths)
-        return _passed(message, tuple(paths))
+        message = _write(args.output, built)
+        _export_dot(args.dot, built)
+        return _passed(message)
     if verb == "equal":
         e1 = _load_element(args.inputs[0])
         e2 = _load_element(args.inputs[1])
@@ -308,7 +296,7 @@ def cmd_group(args) -> CommandResult:
         message = "\n".join(lines)
         if verdict:
             return _passed(message)
-        return _failed((e1, e2), message)
+        return _failed(message)
     if verb == "order":
         e = _load_element(args.inputs[0])
         result = element_order_bounded(e, max_power=args.max_power,
@@ -316,9 +304,9 @@ def cmd_group(args) -> CommandResult:
         return _passed(result.describe())
     if verb == "minimize":
         built = minimize_element(_load_element(args.inputs[0]))
-        message = _write(args.output, built, paths)
-        _export_dot(args.dot, built, paths)
-        return _passed(message, tuple(paths))
+        message = _write(args.output, built)
+        _export_dot(args.dot, built)
+        return _passed(message)
     raise ValueError(f"unknown verb {verb!r}")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -299,15 +299,14 @@ def _light_witness(product: np.ndarray,
     return None
 
 
-def _square_table(product, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """``product`` as nested tuples and as a read-only n x n ``np.intp``
-    array.  Shape and entry types are tested as in ``as_table``, but the
-    range on the array, which is cheaper than Python's min and max; a
-    table that fails gets ``as_table``'s message."""
+def _square_table(product, n: int) -> np.ndarray:
+    """``product`` as a read-only n x n ``np.intp`` array.  Shape and
+    entry types are tested as in ``as_table``, but the range on the array,
+    which is cheaper than Python's min and max; a table that fails gets
+    ``as_table``'s message."""
     if (isinstance(product, np.ndarray) and product.shape == (n, n)
             and np.issubdtype(product.dtype, np.integer)):
         array = product.astype(np.intp)
-        rows = None
     else:
         rows = tuple(map(tuple, product))
         plain = (len(rows) == n and set(map(len, rows)) == {n}
@@ -321,7 +320,7 @@ def _square_table(product, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndar
     if array.min() < 0 or array.max() >= n:
         as_table("product", array.tolist(), n, n, n)  # raises, naming the entry
     array.flags.writeable = False
-    return (tuple(map(tuple, array.tolist())) if rows is None else rows), array
+    return array
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,26 +354,26 @@ class SemigroupTable:
     generator list, against a greedily chosen generating set), then the
     names.
 
-    ``product`` may be given as an n x n integer ndarray; it is stored as
-    nested tuples either way.  Construction also keeps what it validated:
-    ``array``, the table as a read-only ``np.intp`` array, and
+    ``product`` is given as nested sequences of ints or as an n x n
+    integer ndarray, and is stored once, as ``array``: a read-only n x n
+    ``np.intp`` array.  Reading ``product`` builds nested tuples of Python
+    ints from ``array`` on each access.  Tables compare and hash by value
+    over order, table, generators and names.  Construction also keeps
     ``generating_set``, the distinct generators Light's test used.
-    Neither takes part in comparison.
     """
 
     order: int
-    product: tuple[tuple[int, ...], ...]
+    product: InitVar[Sequence[Sequence[int]] | np.ndarray]
     generators: tuple[int, ...] | None = None
     names: tuple[tuple[int, ...], ...] | None = None
-    array: np.ndarray = field(init=False, repr=False, compare=False)
-    generating_set: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(init=False, repr=False)
+    generating_set: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, product) -> None:
         n = self.order
         if n < 1:
             raise ValueError("order must be >= 1")
-        product, array = _square_table(self.product, n)
-        object.__setattr__(self, "product", product)
+        array = _square_table(product, n)
         object.__setattr__(self, "array", array)
         if self.generators is not None:
             gens = tuple(self.generators)
@@ -402,6 +401,7 @@ class SemigroupTable:
             letters = [*itertools.chain.from_iterable(names)]
             checked = (min(map(len, names)) > 0
                        and 0 <= min(letters) <= max(letters) < len(gens))
+            right = array[:, gens].tolist()  # right[e][k] == e g_k
             for i, w in enumerate(names):
                 if not checked:  # name the first empty word or bad letter
                     if not w:
@@ -412,12 +412,24 @@ class SemigroupTable:
                                              f"range 0..{len(gens) - 1}")
                 e = gens[w[0]]
                 for letter in w[1:]:
-                    e = product[e][gens[letter]]
+                    e = right[e][letter]
                 if e != i:
                     raise ValueError(f"names[{i}] = {w} evaluates to {e}, not {i}")
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.product[i][j]
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.order, self.generators, self.names)
+                == (other.order, other.generators, other.names)
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.array.tobytes(), self.generators, self.names))
+
+
+# set after the class: a class attribute named like the InitVar would be its default
+SemigroupTable.product = property(lambda self: tuple(map(tuple, self.array.tolist())),
+                                  doc="The table as nested tuples of Python ints.")
 
 
 @dataclass(frozen=True, slots=True)
@@ -521,10 +533,10 @@ def evaluate_word(table: SemigroupTable, assignment: Sequence[int], word: Word) 
         raise ValueError(
             f"word over {word.alphabet_size} letters, assignment has {len(assignment)}")
     e = assignment[word.letters[0]]
-    prod = table.product
+    prod = table.array
     for letter in word.letters[1:]:
-        e = prod[e][assignment[letter]]
-    return e
+        e = prod[e, assignment[letter]]
+    return int(e)
 
 
 def kernel_classes(alphabet_size: int, words_up_to: int,

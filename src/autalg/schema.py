@@ -97,7 +97,7 @@ def _rows(table) -> list:
 def dump_semigroup_table(t: SemigroupTable) -> dict:
     return {
         "order": t.order,
-        "product": _rows(t.product),
+        "product": t.array.tolist(),
         "generators": list(t.generators) if t.generators is not None else None,
         "names": _rows(t.names) if t.names is not None else None,
     }
@@ -107,14 +107,12 @@ def load_semigroup_table(data, where: str) -> SemigroupTable:
     order = _int(_get(data, "order", where), f"{where}.order")
     product = _int_table(_get(data, "product", where), f"{where}.product")
     generators = data.get("generators")
+    if generators is not None:
+        generators = _int_list(generators, f"{where}.generators")
     names = data.get("names")
-    try:
-        return SemigroupTable(
-            order, product,
-            _int_list(generators, f"{where}.generators") if generators is not None else None,
-            _int_table(names, f"{where}.names") if names is not None else None)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    if names is not None:
+        names = _int_table(names, f"{where}.names")
+    return _build(SemigroupTable, where, order, product, generators, names)
 
 
 # A field kind is a pair of functions: load(data, key, where, loaded)

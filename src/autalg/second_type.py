@@ -154,8 +154,9 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
         raise ValueError("nu alphabet does not match the automaton's outputs")
     n_inputs = m.inputs.size
     gamma, sigma = mu.target, nu.target
-    gprod, sprod = gamma.product, sigma.product
     mu_a, nu_a = mu.assignment, nu.assignment
+    # g_right[g][x] == g mu(x) and s_right[s][y] == s nu(y)
+    g_right, s_right = gamma.array[:, mu_a].tolist(), sigma.array[:, nu_a].tolist()
     nxt, out = m.next, m.out
     next_table = []
     out_table = []
@@ -176,9 +177,9 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
         while queue:
             g, a1, s, word = queue.popleft()
             for x in range(n_inputs):
-                g2 = gprod[g][mu_a[x]]
+                g2 = g_right[g][x]
                 a2 = nxt[a1][x]
-                s2 = sprod[s][nu_a[out[a1][x]]]
+                s2 = s_right[s][out[a1][x]]
                 hit = seen.get(g2)
                 if hit is None:
                     w2 = word + (x,)

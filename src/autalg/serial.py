@@ -105,7 +105,7 @@ def serial_from_second(m: SemigroupAutomatonSecond) -> SerialConnection:
     """View an accumulating automaton as a serial connection, with Sigma
     acting on itself by right multiplication."""
     first = semiautomaton(m.states, m.gamma, m.next)
-    second = semiautomaton(FiniteSet(m.sigma.order), m.sigma, m.sigma.product)
+    second = semiautomaton(FiniteSet(m.sigma.order), m.sigma, m.sigma.array.tolist())
     return SerialConnection(first, second, m.out)
 
 

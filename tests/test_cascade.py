@@ -24,7 +24,6 @@ from autalg import (
     embed_into_wreath,
     wreath_automaton,
     wreath_product,
-    wreath_semigroup,
     wreath_triple,
 )
 from helpers import all_actions, random_pure_first, semigroups_up_to_iso, wreath_table_oracle
@@ -114,14 +113,20 @@ class TestTripleMorphism:
         assert not report.ok
         assert report.witness == (0,)
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_mu_out_of_range_is_an_error(self, bad):
+        t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
+        with pytest.raises(ValueError, match=rf"^mu\[1\] = {bad} out of range$"):
+            check_semigroup_triple_morphism(t, t, (0, bad))
+
 
 class TestWreathSemigroup:
     def test_order_formula_two_two_three(self):
-        table = wreath_semigroup(Z2, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3)
+        table = wreath_product(Z2, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3).table
         assert table.order == 2 ** 2 * 3
 
     def test_trivial_first_factor_copies_second(self):
-        table = wreath_semigroup(TRIVIAL, FiniteSet(2), ((0, 1), (1, 0)), Z2)
+        table = wreath_product(TRIVIAL, FiniteSet(2), ((0, 1), (1, 0)), Z2).table
         assert table.order == Z2.order
         assert table.product == Z2.product
 
@@ -136,7 +141,7 @@ class TestWreathSemigroup:
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
-            wreath_semigroup(Z3, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3, cap=26)
+            wreath_product(Z3, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3, cap=26).table
 
     def test_non_action_rejected(self):
         # swapping under a left-zero semigroup is not an action

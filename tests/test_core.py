@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -171,6 +172,29 @@ class TestSemigroupTable:
         with pytest.raises(ValueError, match=r"product\[0\]\[0\] = \S*0\.0\S* out of range"):
             SemigroupTable(2, np.zeros((2, 2)))
         assert SemigroupTable(2, np.array([[0, 1], [1, 0]])).product == ((0, 1), (1, 0))
+
+    def test_list_tuple_and_array_make_one_table(self):
+        rows = [[0, 1], [1, 0]]
+        made = [SemigroupTable(2, product, (1,), ((0, 0), (0,)))
+                for product in (rows, tuple(map(tuple, rows)), np.array(rows))]
+        assert all(t == made[0] and hash(t) == hash(made[0]) for t in made)
+        assert [f.name for f in dataclasses.fields(made[0])] == \
+            ["order", "generators", "names", "array", "generating_set"]
+        for t in made:
+            assert t.product == tuple(map(tuple, t.array.tolist())) == ((0, 1), (1, 0))
+            assert type(t.product) is tuple and all(type(r) is tuple for r in t.product)
+            assert all(type(v) is int for r in t.product for v in r)
+        value = evaluate_word(made[2], (1,), Word((0, 0, 0), 1))
+        assert type(value) is int and value == 1
+
+    def test_tables_differing_in_generators_or_names_are_unequal(self):
+        rows = ((0, 1), (1, 0))
+        assert SemigroupTable(2, rows) != SemigroupTable(2, rows, (1,))
+        assert SemigroupTable(2, rows, (1,)) != SemigroupTable(2, rows, (1, 1))
+        assert (SemigroupTable(2, rows, (1, 1), ((0, 0), (0,)))
+                != SemigroupTable(2, rows, (1, 1), ((0, 1), (1,))))
+        assert SemigroupTable(2, rows) != SemigroupTable(2, ((0, 0), (1, 1)))
+        assert SemigroupTable(2, rows) != rows
 
     def test_entry_beyond_a_machine_integer_is_out_of_range(self):
         with pytest.raises(ValueError, match=rf"product\[0\]\[1\] = {10 ** 30} out of range"):
