@@ -300,25 +300,17 @@ def _light_witness(product: np.ndarray,
 
 
 def _square_table(product, n: int) -> np.ndarray:
-    """``product`` as a read-only n x n ``np.intp`` array.  Shape and
-    entry types are tested as in ``as_table``, but the range on the array,
-    which is cheaper than Python's min and max; a table that fails gets
-    ``as_table``'s message."""
+    """``product`` as a read-only n x n ``np.intp`` array.  An integer
+    array of that shape is range-checked on the array; anything else is
+    checked by ``as_table``.  A table that fails gets ``as_table``'s
+    message."""
     if (isinstance(product, np.ndarray) and product.shape == (n, n)
             and np.issubdtype(product.dtype, np.integer)):
         array = product.astype(np.intp)
+        if array.min() < 0 or array.max() >= n:
+            as_table("product", array.tolist(), n, n, n)  # raises, naming the entry
     else:
-        rows = tuple(map(tuple, product))
-        plain = (len(rows) == n and set(map(len, rows)) == {n}
-                 and set(map(type, itertools.chain.from_iterable(rows))) <= {int})
-        try:
-            array = np.array(rows if plain else as_table("product", rows, n, n, n),
-                             dtype=np.intp)
-        except OverflowError:  # an int beyond np.intp is out of range
-            as_table("product", rows, n, n, n)
-            raise
-    if array.min() < 0 or array.max() >= n:
-        as_table("product", array.tolist(), n, n, n)  # raises, naming the entry
+        array = np.array(as_table("product", product, n, n, n), dtype=np.intp)
     array.flags.writeable = False
     return array
 

@@ -13,14 +13,32 @@ name two classes each, and a key picks between them:
   else a pure triple (whose ``inputs`` default to one per ``beta`` entry);
 * ``mealy`` is a ``MealyElement`` when ``initial`` is present, else a
   ``MealyMachine``.
+
+Tables are the bulk of every file, so both directions have a fast path:
+
+* the writer ``_encode`` writes a list of plain ints, or a list of
+  non-empty rows of them, by looking each cell up in ``_digits``, a
+  table of decimal strings, and joining each row once;
+* the reader turns a semigroup ``product`` into an array with one
+  ``np.array`` call, whose dtype and shape reject floats, ``None``,
+  strings, ints beyond int64 and ragged rows.
+
+Both must keep bools out, since ``True == 1`` and ``hash(True) ==
+hash(1)``: the writer scans the cell types before any lookup, and the
+reader type-tests the cells that are at most 1, the only ones where
+``np.array`` can have turned a bool into an int.  A table that leaves a
+fast path is handled by the plain code, so output bytes and error
+messages do not depend on which path ran.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .cascade import CascadeTriplePure, CascadeTripleSemigroup
 from .core import FiniteSet, SemigroupTable
@@ -57,6 +75,23 @@ def _int_table(value, where: str) -> tuple[tuple[int, ...], ...]:
     if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
         return tuple(map(tuple, value))
     return tuple(_int_list(row, f"{where}[{i}]") for i, row in enumerate(value))
+
+
+def _int_array(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
+    """A list of equal-length rows of plain ints as one ``np.intp`` array;
+    any other table gets ``_int_table``'s checks and messages."""
+    _expect(isinstance(value, list), where, "expected a list of rows")
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged rows, or nested too deeply for an array
+        return _int_table(value, where)
+    if (array.ndim == 2 and array.dtype.kind == "i" and np.can_cast(array.dtype, np.intp)
+            and set(map(type, value)) <= {list}):
+        rows, cols = (array <= 1).nonzero()  # where np.array may have taken a bool for 0 or 1
+        cells = map(list.__getitem__, map(value.__getitem__, rows.tolist()), cols.tolist())
+        if set(map(type, cells)) <= {int}:
+            return array.astype(np.intp, copy=False)
+    return _int_table(value, where)
 
 
 def _int_list(value, where: str) -> tuple[int, ...]:
@@ -105,7 +140,7 @@ def dump_semigroup_table(t: SemigroupTable) -> dict:
 
 def load_semigroup_table(data, where: str) -> SemigroupTable:
     order = _int(_get(data, "order", where), f"{where}.order")
-    product = _int_table(_get(data, "product", where), f"{where}.product")
+    product = _int_array(_get(data, "product", where), f"{where}.product")
     generators = data.get("generators")
     if generators is not None:
         generators = _int_list(generators, f"{where}.generators")
@@ -214,18 +249,40 @@ _BY_CLASS = {row[1]: row for row in _TYPES}
 _ATTRIBUTE = {"semigroup": "gamma"}
 
 
+class _Digits(dict):
+    """Decimal strings of ints: stored for 0..4095, the element indices
+    tables hold; made on lookup for any other int."""
+
+    def __missing__(self, key: int) -> str:
+        return str(key)
+
+
+_digits = _Digits(zip(range(4096), map(str, range(4096)))).__getitem__
+
+
 def _encode(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
     it, nested ``pad`` deep.  With an indent ``json.dumps`` runs its
-    pure-Python encoder; this writer joins each list of plain ints in one
-    call and hands everything else it does not write itself (other
-    scalars, empty containers, dicts with non-str keys) to ``json.dumps``."""
+    pure-Python encoder; this writer joins each list of plain ints, and
+    each list of non-empty rows of plain ints, at C speed, and hands
+    everything else it does not write itself (other scalars, empty
+    containers, dicts with non-str keys) to ``json.dumps``."""
     if type(value) is int:
         return str(value)
     if type(value) in (list, tuple) and value:
         inner = pad + "  "
-        items = (map(str, value) if set(map(type, value)) == {int}
-                 else (_encode(v, inner) for v in value))
+        # the type scans come before any lookup: _digits(True) would be "1"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(_digits, value)
+        elif (kinds <= {list, tuple} and all(value)
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            deeper = inner + "  "
+            rows = map(f",\n{deeper}".join, map(map, repeat(_digits), value))
+            return (f"[\n{inner}[\n{deeper}" + f"\n{inner}],\n{inner}[\n{deeper}".join(rows)
+                    + f"\n{inner}]\n{pad}]")
+        else:
+            items = (_encode(v, inner) for v in value)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if type(value) is dict and value and set(map(type, value)) == {str}:
         inner = pad + "  "
@@ -248,7 +305,9 @@ def save(path: str | Path, obj) -> None:
 
 def load(path: str | Path):
     try:  # the text is freed before validation, which allocates tables of its size
-        return load_object(json.loads(Path(path).read_text()), where=str(path))
+        return load_object(json.loads(Path(path).read_text(encoding="utf-8")), where=str(path))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -134,9 +134,10 @@ def wreath_table_oracle(g1: SemigroupTable, points: int,
     elements = [(f, s) for f in itertools.product(range(g1.order), repeat=points)
                 for s in range(g2.order)]
     rank = {e: i for i, e in enumerate(elements)}
+    prod1, prod2 = g1.product, g2.product
     return tuple(
-        tuple(rank[(tuple(g1.product[f[a]][f2[action[a][s]]] for a in range(points)),
-                    g2.product[s][s2])]
+        tuple(rank[(tuple(prod1[f[a]][f2[action[a][s]]] for a in range(points)),
+                    prod2[s][s2])]
               for f2, s2 in elements)
         for f, s in elements)
 
@@ -189,6 +190,7 @@ def all_actions(table: SemigroupTable, set_size: int) -> tuple[tuple[tuple[int, 
     """Every table action: set_size x order -> set_size satisfying
     a.(g g') == (a.g).g'."""
     n, k = set_size, table.order
+    prod = table.product
     found = []
     for flat in itertools.product(range(n), repeat=n * k):
         action = tuple(tuple(flat[a * k:(a + 1) * k]) for a in range(n))
@@ -197,7 +199,7 @@ def all_actions(table: SemigroupTable, set_size: int) -> tuple[tuple[tuple[int, 
             for g in range(k):
                 moved = action[a][g]
                 for h in range(k):
-                    if action[a][table.product[g][h]] != action[moved][h]:
+                    if action[a][prod[g][h]] != action[moved][h]:
                         ok = False
                         break
                 if not ok:
@@ -269,10 +271,11 @@ def serial_oracle(s) -> tuple:
 
 def homomorphism_oracle(table: SemigroupTable, image, target: SemigroupTable,
                         law: str) -> tuple:
+    prod, target_prod = table.product, target.product
     for g1 in range(table.order):
         for g2 in range(table.order):
-            lhs = image[table.product[g1][g2]]
-            rhs = target.product[image[g1]][image[g2]]
+            lhs = image[prod[g1][g2]]
+            rhs = target_prod[image[g1]][image[g2]]
             if lhs != rhs:
                 return (False, law, (g1, g2), lhs, rhs)
     return PASSED
@@ -311,10 +314,11 @@ def triple_morphism_oracle(t, t2, mu) -> tuple:
 
 def action_oracle(action, table: SemigroupTable) -> tuple[int, int, int] | None:
     """The first (a, s, s2) with a.(s s2) != (a.s).s2, or None."""
+    prod = table.product
     for a in range(len(action)):
         for s in range(table.order):
             for s2 in range(table.order):
-                if action[a][table.product[s][s2]] != action[action[a][s]][s2]:
+                if action[a][prod[s][s2]] != action[action[a][s]][s2]:
                     return a, s, s2
     return None
 

@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 
 from autalg import (
     FiniteSet,
+    GeneratorHom,
+    MealyElement,
+    MealyMachine,
+    PureAutomatonFirst,
+    PureAutomatonSecond,
     SemigroupTable,
     VerificationError,
     Word,
@@ -227,6 +232,118 @@ class TestRoundTrip:
         path.write_text(json.dumps(BOOL_MEALY))
         assert main(["group", "apply", str(path), "0", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _table(rows: int, cols: int, bound: int):
+    return st.lists(st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _finite_sets(draw, size: int) -> FiniteSet:
+    labels = draw(st.none() | st.lists(st.text(max_size=3), min_size=size, max_size=size,
+                                       unique=True))
+    return FiniteSet(size, labels)
+
+
+@st.composite
+def _pure_automata(draw, cls=PureAutomatonFirst):
+    a, x, b = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return cls(draw(_finite_sets(a)), draw(_finite_sets(x)), draw(_finite_sets(b)),
+               draw(_table(a, x, a)), draw(_table(a, x, b)))
+
+
+@st.composite
+def _homs_onto_tables(draw) -> GeneratorHom:
+    """A hom onto a random closure's table, kept with its names, with its
+    generators only, or bare."""
+    gamma = semigroupify(draw(_pure_automata())).gamma
+    table = draw(st.sampled_from([
+        gamma, SemigroupTable(gamma.order, gamma.array, gamma.generators),
+        SemigroupTable(gamma.order, gamma.array)]))
+    return GeneratorHom(len(table.generating_set), table, table.generating_set)
+
+
+@st.composite
+def _mealy(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    machine = MealyMachine(n, k, draw(_table(n, k, n)), draw(_table(n, k, k)))
+    return draw(st.sampled_from([machine, MealyElement(machine, draw(st.integers(0, n - 1)))]))
+
+
+def _first_semigroup(product, order: int = 2) -> dict:
+    return {"type": "first-semigroup", "states": {"size": 1}, "outputs": {"size": 1},
+            "semigroup": {"order": order, "product": product},
+            "next": [[0] * order], "out": [[0] * order]}
+
+
+class TestTableCodec:
+    """The table fast paths of the writer and the reader give the bytes
+    and the messages of the plain code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_pure_automata(), _pure_automata(PureAutomatonSecond),
+                     _pure_automata().map(semigroupify), _homs_onto_tables(), _mealy()))
+    def test_random_objects_round_trip_byte_stably(self, tmp_path_factory, obj):
+        text = dumps(obj)
+        assert text == json.dumps(dump_object(obj), indent=2, sort_keys=True) + "\n"
+        path = tmp_path_factory.getbasetemp() / "random.json"
+        path.write_text(text)
+        again = load(path)
+        assert again == obj
+        assert dumps(again) == text
+
+    @pytest.mark.parametrize("value", [
+        [[1, 2], [3]], [[1, 2, 3], [4, 5], [6]],  # ragged rows
+        [[], [1]], [[1], []], [[]], [[], []],  # empty rows
+        ((1, 2), (3, 4)), [(0,), [1, 2]], (5, 6),  # tuples
+        [[1, True], [0, 1]], [[False]], [True, 1], [[0], [1, False]],  # bools among ints
+        [[-1, 0, 4095, 4096], [10**20, -(10**20)]], [-5, 2**70], [[4096]],  # beyond the tokens
+        [[[1, 2]], [[3]]], [[1], 2], [{"a": 1}, [1]], [[1, 2.0]], [[1, None]],
+    ])
+    @pytest.mark.parametrize("pad", ["", "    "])
+    def test_encode_edge_cases_match_json_dumps(self, value, pad):
+        expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        assert _encode(value, pad) == expected
+
+    @pytest.mark.parametrize("product, message", [
+        ([[0, 1], [1, True]], "file.semigroup.product[1][1]: expected an integer, got True"),
+        ([[0, 1], [False, 0]], "file.semigroup.product[1][0]: expected an integer, got False"),
+        ([[True, 1], [1, 0]], "file.semigroup.product[0][0]: expected an integer, got True"),
+        ([[0, 1.0], [1, 0]], "file.semigroup.product[0][1]: expected an integer, got 1.0"),
+        ([[0, 1], [None, 0]], "file.semigroup.product[1][0]: expected an integer, got None"),
+        ([[0, "3"], [1, 0]], "file.semigroup.product[0][1]: expected an integer, got '3'"),
+        ([[0, 1], [10**30, 0]],
+         "file.semigroup: product[1][0] = 1000000000000000000000000000000 out of range 0..1"),
+        ([[0, 1], [2**63, 0]],
+         "file.semigroup: product[1][0] = 9223372036854775808 out of range 0..1"),
+        ([[[0], [1]], [[1], [0]]], "file.semigroup.product[0][0]: expected an integer, got [0]"),
+        ([[0, 1], [1, 0], [0, 1]], "file.semigroup: product: expected 2 rows, got 3"),
+        ([[0, 1]], "file.semigroup: product: expected 2 rows, got 1"),
+        ([[0, 1], [1]], "file.semigroup: product[1]: expected 2 entries, got 1"),
+        ([[0, 1, 0], [1, 0, 1]], "file.semigroup: product[0]: expected 2 entries, got 3"),
+        ([[], []], "file.semigroup: product[0]: expected 2 entries, got 0"),
+        ([], "file.semigroup: product: expected 2 rows, got 0"),
+        ([[0, 1], [1, 2]], "file.semigroup: product[1][1] = 2 out of range 0..1"),
+        ([[0, 1], [1, -1]], "file.semigroup: product[1][1] = -1 out of range 0..1"),
+        ([[0, 1], 1], "file.semigroup.product[1]: expected a list"),
+        ([(0, 1), (1, 0)], "file.semigroup.product[0]: expected a list"),
+        ("ab", "file.semigroup.product: expected a list of rows"),
+    ])
+    def test_bad_product_messages(self, product, message):
+        with pytest.raises(SchemaError) as info:
+            load_object(_first_semigroup(product))
+        assert str(info.value) == message
+
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not valid UTF-8: "):
+            load(path)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position 0: invalid start byte\n")
 
 
 class TestCheckCommand:
