@@ -333,6 +333,32 @@ class PureAutomaton:
         object.__setattr__(self, "out", as_table("out", self.out, a, x, self.outputs.size))
 
 
+def _names_error(array: np.ndarray, gens: tuple[int, ...],
+                 names: tuple[tuple[int, ...], ...]) -> str | None:
+    """The message for the first name that is malformed or does not
+    evaluate to its own index, or None when every name does."""
+    if len(names) != len(array):
+        return f"{len(names)} names for {len(array)} elements"
+    letters = [*itertools.chain.from_iterable(names)]
+    checked = (min(map(len, names)) > 0
+               and 0 <= min(letters) <= max(letters) < len(gens))
+    right = array[:, gens].tolist()  # right[e][k] == e g_k
+    for i, w in enumerate(names):
+        if not checked:  # name the first empty word or bad letter
+            if not w:
+                return f"names[{i}] is empty"
+            for letter in w:
+                if not 0 <= letter < len(gens):
+                    return (f"names[{i}] = {w}: letter {letter} out of "
+                            f"range 0..{len(gens) - 1}")
+        e = gens[w[0]]
+        for letter in w[1:]:
+            e = right[e][letter]
+        if e != i:
+            return f"names[{i}] = {w} evaluates to {e}, not {i}"
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class SemigroupTable:
     """A finite semigroup as a total multiplication table.
@@ -344,7 +370,14 @@ class SemigroupTable:
     evaluate back to i.  Construction checks generation, then
     associativity by Light's test against the generators (or, with no
     generator list, against a greedily chosen generating set), then the
-    names.
+    names, and raises the first of those errors.
+
+    The names are evaluated first, left to right along the generator
+    columns.  If every name evaluates back to its own index, each element
+    is a product of generators, so the names prove generation (with or
+    without associativity) and no search runs.  Otherwise, and for a
+    table with generators but no names, generation is checked by a
+    breadth-first search over the generator columns (``unreached``).
 
     ``product`` is given as nested sequences of ints or as an n x n
     integer ndarray, and is stored once, as ``array``: a read-only n x n
@@ -373,40 +406,25 @@ class SemigroupTable:
             for g in gens:
                 if not 0 <= g < n:
                     raise ValueError(f"generator index {g} out of range")
+        names_error = None
+        if self.names is not None:
+            names = tuple(map(tuple, self.names))
+            object.__setattr__(self, "names", names)
+            names_error = ("names require generators" if self.generators is None
+                           else _names_error(array, gens, names))
+        if self.generators is None:
+            gens = _greedy_generators(array)
+        elif self.names is None or names_error:  # names that all evaluate prove generation
             missing = unreached(array, gens)
             if missing:
                 raise ValueError(f"elements {missing} not generated by {gens}")
-        else:
-            gens = _greedy_generators(array)
         object.__setattr__(self, "generating_set", tuple(dict.fromkeys(gens)))
         witness = _light_witness(array, self.generating_set)
         if witness is not None:
             a, b, c = witness
             raise ValueError(f"product not associative at ({a}, {b}, {c})")
-        if self.names is not None:
-            if self.generators is None:
-                raise ValueError("names require generators")
-            names = tuple(map(tuple, self.names))
-            object.__setattr__(self, "names", names)
-            if len(names) != n:
-                raise ValueError(f"{len(names)} names for {n} elements")
-            letters = [*itertools.chain.from_iterable(names)]
-            checked = (min(map(len, names)) > 0
-                       and 0 <= min(letters) <= max(letters) < len(gens))
-            right = array[:, gens].tolist()  # right[e][k] == e g_k
-            for i, w in enumerate(names):
-                if not checked:  # name the first empty word or bad letter
-                    if not w:
-                        raise ValueError(f"names[{i}] is empty")
-                    for letter in w:
-                        if not 0 <= letter < len(gens):
-                            raise ValueError(f"names[{i}] = {w}: letter {letter} out of "
-                                             f"range 0..{len(gens) - 1}")
-                e = gens[w[0]]
-                for letter in w[1:]:
-                    e = right[e][letter]
-                if e != i:
-                    raise ValueError(f"names[{i}] = {w} evaluates to {e}, not {i}")
+        if names_error:
+            raise ValueError(names_error)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -433,6 +451,11 @@ class Closure:
     letter_to_index: tuple[int, ...]
 
 
+def _closure_cap(cap: int, found: int, length: int) -> CapExceeded:
+    return CapExceeded(f"closure exceeded cap {cap}: {found} elements found "
+                       f"by words of length {length}")
+
+
 def close_generators(generators: Sequence[Hashable],
                      multiply: Callable,
                      cap: int = DEFAULT_CAP) -> Closure:
@@ -441,7 +464,8 @@ def close_generators(generators: Sequence[Hashable],
 
     Elements are discovered by word length with letters tried in order,
     so element i's name is the lexicographically least shortest generator
-    word producing it.  Raises CapExceeded past ``cap`` elements.
+    word producing it.  Raises CapExceeded past ``cap`` elements, saying
+    how many were found and the word length the search had reached.
 
     ``multiply`` is called once per element and letter (Froidure and Pin,
     1997): the search keeps those products as the right Cayley graph
@@ -472,7 +496,7 @@ def close_generators(generators: Sequence[Hashable],
         found = index.get(g)
         if found is None:
             if len(elements) >= cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
+                raise _closure_cap(cap, len(elements) + 1, 1)
             found = len(elements)
             index[g] = found
             elements.append(g)
@@ -490,7 +514,7 @@ def close_generators(generators: Sequence[Hashable],
                 k = index.get(p)
                 if k is None:
                     if len(elements) >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
+                        raise _closure_cap(cap, len(elements) + 1, len(names[ei]) + 1)
                     k = index[p] = len(elements)
                     elements.append(p)
                     names.append(names[ei] + (li,))

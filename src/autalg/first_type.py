@@ -14,6 +14,7 @@ universal pair semigroup S_A x Fun(A,B): see ``semigroupify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .core import (
     as_table,
     check_laws,
     close_generators,
-    multiply_pair,
+    multiply_pair,  # the reference product that multiply_flat encodes
 )
 
 
@@ -83,6 +84,14 @@ def to_universal(m: PureAutomatonFirst) -> tuple[PairElement, ...]:
     return tuple(pairs)
 
 
+def multiply_flat(a: int, e: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """``multiply_pair`` on pairs over ``a`` states written flat as
+    (sigma(0), .., sigma(a-1), phi(0), .., phi(a-1)):
+    (s1, p1)(s2, p2) = (s1 s2, s1 p2), applying s1 first."""
+    sigma = e[:a]
+    return tuple([g[i] for i in sigma] + [g[a + i] for i in sigma])
+
+
 def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAutomatonFirst:
     """Close the universal images of the inputs inside S_A x Fun(A,B) and
     read the actions off the closure.
@@ -92,15 +101,23 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     letter x corresponds to generator position x of the result's
     semigroup (``gamma.generators[x]``).
 
-    The closure's table is exactly the ``multiply_pair`` table: for every
+    The closure runs over flat int tuples (see ``multiply_flat``) rather
+    than ``PairElement`` objects.  The codomain B is fixed, so two flat
+    tuples are equal exactly when their pairs are: the elements, their
+    order and the table are those of closing ``to_universal(m)`` under
+    ``multiply_pair``.
+
+    The closure's table is exactly the pair product table: for every
     state a, ``nxt[a][T] == nxt[nxt[a]]`` and ``out[a][T] == out[nxt[a]]``
     say that element T[x, y] has the state and output columns of the pair
     product of x and y, and distinct elements have distinct columns.
     VerificationError is raised otherwise.
     """
-    closure = close_generators(to_universal(m), multiply_pair, cap)
-    nxt = np.array([e.sigma.image for e in closure.elements], dtype=np.intp).T
-    out = np.array([e.phi.image for e in closure.elements], dtype=np.intp).T
+    size = m.states.size
+    gens = [sigma + phi for sigma, phi in zip(zip(*m.next), zip(*m.out))]
+    closure = close_generators(gens, partial(multiply_flat, size), cap)
+    flat = np.array(closure.elements, dtype=np.intp).T
+    nxt, out = flat[:size], flat[size:]
     product = closure.table.array
     for a in range(m.states.size):
         moved = nxt[a]

@@ -18,6 +18,7 @@ from autalg import (
     MealyMachine,
     PureAutomatonFirst,
     PureAutomatonSecond,
+    SemigroupAutomatonFirst,
     SemigroupTable,
     Transformation,
     Word,
@@ -27,6 +28,8 @@ from autalg import (
     element_apply,
     element_compose,
     identity_element,
+    multiply_pair,
+    to_universal,
 )
 
 
@@ -113,6 +116,17 @@ def naive_closure_table(elements, multiply) -> tuple[tuple[int, ...], ...]:
     elements = list(elements)
     return tuple(tuple(elements.index(multiply(x, y)) for y in elements)
                  for x in elements)
+
+
+def semigroupify_oracle(m: PureAutomatonFirst) -> SemigroupAutomatonFirst:
+    """``semigroupify`` rebuilt on ``PairElement`` objects: close the
+    universal images under ``multiply_pair`` and read each state's
+    action off every element, one call per entry."""
+    closure = close_generators(to_universal(m), multiply_pair)
+    states = range(m.states.size)
+    nxt = tuple(tuple(e.sigma(a) for e in closure.elements) for a in states)
+    out = tuple(tuple(e.phi(a) for e in closure.elements) for a in states)
+    return SemigroupAutomatonFirst(m.states, closure.table, m.outputs, nxt, out)
 
 
 def is_generated_by(table: tuple[tuple[int, ...], ...], gens) -> bool:

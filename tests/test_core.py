@@ -25,6 +25,7 @@ from autalg import (
     kernel_classes,
     multiply_pair,
 )
+from autalg import core
 from autalg.core import as_table
 from helpers import (
     _is_associative,
@@ -150,6 +151,38 @@ class TestSemigroupTable:
         with pytest.raises(ValueError, match=r"names\[0\] is empty"):
             SemigroupTable(2, ((0, 1), (1, 0)), generators=(1,), names=((), (0,)))
 
+    @pytest.mark.parametrize("product,gens,names,message", [
+        # names fail and the table is not generated
+        (((0, 1), (1, 0)), (0,), ((0,), (0,)), "elements [1] not generated by (0,)"),
+        # names fail and the product is not associative
+        (((0, 1), (0, 0)), (1,), ((0,), (0,)), "product not associative at (1, 1, 1)"),
+        # only the names fail
+        (((0, 1), (1, 0)), (1,), ((0,), (0,)), "names[0] = (0,) evaluates to 1, not 0"),
+        # the names evaluate, but the product is not associative
+        (((0, 1), (0, 0)), (1,), ((0, 0), (0,)), "product not associative at (1, 1, 1)"),
+    ])
+    def test_reports_generation_then_associativity_then_names(self, product, gens,
+                                                              names, message):
+        with pytest.raises(ValueError) as raised:
+            SemigroupTable(2, product, gens, names)
+        assert str(raised.value) == message
+
+    def test_names_that_evaluate_replace_the_generation_search(self, monkeypatch):
+        calls, unreached = [], core.unreached
+
+        def counted(product, gens):
+            calls.append(gens)
+            return unreached(product, gens)
+
+        gens = [Transformation((1, 2, 0)), Transformation((1, 0, 2)),
+                Transformation((0, 0, 2))]
+        full = close_generators(gens, compose_transformations).table  # T_3
+        monkeypatch.setattr(core, "unreached", counted)
+        named = SemigroupTable(full.order, full.array, full.generators, full.names)
+        assert named.order == 27 and calls == []
+        SemigroupTable(full.order, full.array, full.generators)
+        assert calls == [full.generators]
+
     @given(st.lists(transformations(3), min_size=1, max_size=2))
     def test_keeps_its_validated_array(self, gens):
         table = close_generators(gens, compose_transformations).table
@@ -241,8 +274,13 @@ class TestGenerateSemigroup:
                 assert table.product[i][j] == (i + j + 1) % 3
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^closure exceeded cap 2: 3 elements "
+                                              r"found by words of length 3$"):
             generate_semigroup([Transformation((1, 2, 0))], compose_transformations, cap=2)
+        with pytest.raises(CapExceeded, match=r"^closure exceeded cap 1: 2 elements "
+                                              r"found by words of length 1$"):
+            generate_semigroup([Transformation((1, 0)), Transformation((0, 0))],
+                               compose_transformations, cap=1)
 
     def test_full_transformation_semigroup_of_two_points(self):
         gens = list(all_transformations(2))

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from autalg import (
     FiniteSet,
-    PairElement,
     PureAutomatonFirst,
     SemigroupTable,
     VerificationError,
     Word,
     act_word,
     check_first_axioms,
-    compose_transformations,
     evaluate_word,
     semigroupify,
     to_universal,
 )
-from helpers import random_pure_first
+from autalg.schema import dumps
+from helpers import random_pure_first, semigroupify_oracle
 
 
 def pure_first(a, x, b):
@@ -136,12 +135,29 @@ class TestSemigroupify:
         # accepts its table, but it is not the pair product
         import autalg.first_type as first_type
 
-        def wrong_product(p, q):
-            return PairElement(compose_transformations(p.sigma, q.sigma), q.phi)
+        def wrong_product(a, e, g):
+            return tuple([g[i] for i in e[:a]]) + g[a:]
 
-        monkeypatch.setattr(first_type, "multiply_pair", wrong_product)
+        monkeypatch.setattr(first_type, "multiply_flat", wrong_product)
         with pytest.raises(VerificationError, match="pair product"):
             semigroupify(SWAP)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_the_pair_element_closure(self, data):
+        a, b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        # inputs are drawn from a pool of columns, so columns repeat
+        pool = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, a - 1)] * a),
+                      st.tuples(*[st.integers(0, b - 1)] * a)), min_size=1, max_size=3))
+        columns = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        m = PureAutomatonFirst(FiniteSet(a), FiniteSet(len(columns)), FiniteSet(b),
+                               next=tuple(zip(*[s for s, _ in columns])),
+                               out=tuple(zip(*[p for _, p in columns])))
+        got, want = semigroupify(m), semigroupify_oracle(m)
+        assert got.gamma == want.gamma  # table, generators and names
+        assert (got.next, got.out) == (want.next, want.out)
+        assert dumps(got) == dumps(want)
 
 
 class TestActWord:

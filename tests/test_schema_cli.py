@@ -388,6 +388,13 @@ class TestConstructCommand:
         assert built == semigroupify(load(FIXTURES / "first_pure_swap.json"))
         assert built.gamma.order == 2
 
+    def test_semigroupify_cap_is_an_input_error(self, tmp_path, capsys):
+        assert main(["construct", "semigroupify", str(FIXTURES / "first_pure_swap.json"),
+                     "--cap", "1", "-o", str(tmp_path / "never.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: closure exceeded cap 1: 2 elements found by words of length 2\n")
+        assert not (tmp_path / "never.json").exists()
+
     def test_cascade_pure(self, tmp_path):
         out = tmp_path / "cascade.json"
         assert main(["construct", "cascade",
