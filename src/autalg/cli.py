@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--components", nargs=2, metavar=("M1", "M2"),
                        help="component automata for verifying a cascade triple")
     check.add_argument("--max-len", type=int, default=0,
-                       help="also run word-level checks up to this length (pure models)")
+                       help="also run word-level checks up to this length (pure models; 0: off)")
     check.add_argument("--dot", help="write a DOT rendering of the object")
     check.set_defaults(func=cmd_check)
 
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "otherwise each token is one letter.")
     group.add_argument("-o", "--output", help="output file for machine results")
     group.add_argument("--depth", type=int, default=0,
-                       help="equal: cross-check by word agreement to this depth")
-    group.add_argument("--max-power", type=int, default=64, help="order: power bound")
+                       help="equal: cross-check by word agreement to this depth (0: off)")
+    group.add_argument("--max-power", type=int, default=64, help="order: power bound (at least 1)")
     group.add_argument("--max-states", type=int, default=100_000,
                        help="order: bound on the states of every minimized power")
     group.add_argument("--dot", help="write a DOT rendering of the result")
@@ -375,6 +375,10 @@ def main(argv=None) -> int:
         print(f"error: {args.verb} takes {arity} input file(s), got {len(args.inputs)}",
               file=sys.stderr)
         return 2
+    for option, low in (("max_len", 0), ("depth", 0), ("max_power", 1), ("max_states", 1)):
+        if getattr(args, option, low) < low:
+            print(f"error: --{option.replace('_', '-')} must be at least {low}", file=sys.stderr)
+            return 2
     if getattr(args, "verb", None) == "apply" and len(args.inputs) < 2:
         print("error: apply takes a machine file and a word", file=sys.stderr)
         return 2

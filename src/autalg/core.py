@@ -17,9 +17,8 @@ concurrent readers.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,29 +232,78 @@ def bfs_order(next_table: Sequence[Sequence[int]], start: int) -> list[int]:
     return order
 
 
-def _right_closure(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
-                   reached: np.ndarray) -> None:
+class _Tree(NamedTuple):
+    """A breadth-first spanning tree of a right Cayley graph, level by
+    level.  A root e has ``parent[e] == -1``; any other tree element e is
+    ``parent[e]`` times letter ``letter[e]``.  ``letter[e]`` is -1 for an
+    element off the tree.  The letters on the path from a root down to e
+    are e's tree word (``_tree_word``)."""
+
+    levels: list[np.ndarray]
+    parent: np.ndarray
+    letter: np.ndarray
+
+
+def _grow_tree(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
+               reached: np.ndarray) -> _Tree:
     """Mark in ``reached`` the elements of ``start`` and, breadth first,
     every product e g of an element e marked by this call and g in
-    ``gens``.  Elements marked before the call are not expanded."""
-    candidates = start
+    ``gens``; return the tree of the elements this call marked.
+    Elements marked before the call are not expanded.
+
+    A level lists its new elements in order of first occurrence, with
+    the previous level's elements taken in order and the letters of each
+    in order, as ``close_generators`` discovers them.  A root's letter is
+    its first position in ``start``; any other element's letter is the
+    position in ``gens`` of the column it was first found in."""
+    parent, letter = np.full((2, len(product)), -1, dtype=np.intp)
+    levels, frontier, candidates, width = [], np.array([-1]), start, len(start)
     while True:
-        fresh = np.zeros_like(reached)
-        fresh[candidates] = True
-        fresh &= ~reached
-        frontier = np.flatnonzero(fresh)
-        if not frontier.size:
-            return
-        reached |= fresh
-        candidates = product[frontier[:, None], gens].ravel()
+        fresh = np.flatnonzero(~reached[candidates])
+        if not fresh.size:
+            return _Tree(levels, parent, letter)
+        # the first position of each element not reached before
+        first = np.sort(fresh[np.unique(candidates[fresh], return_index=True)[1]])
+        level = candidates[first]
+        reached[level] = True
+        parent[level], letter[level] = frontier[first // width], first % width
+        levels.append(level)
+        frontier, candidates, width = level, product[level[:, None], gens].ravel(), len(gens)
+
+
+def _generated_tree(product: np.ndarray, gens: Sequence[int]) -> _Tree:
+    """The tree of the products of ``gens``, rooted at the generators."""
+    start = np.array(gens, dtype=np.intp)
+    return _grow_tree(product, start, start, np.zeros(len(product), dtype=bool))
+
+
+def _tree_word(tree: _Tree, e: int) -> tuple[int, ...]:
+    """The letters on the tree path from a root down to ``e``."""
+    word = ()
+    while e >= 0:
+        word, e = (int(tree.letter[e]),) + word, tree.parent[e]
+    return word
+
+
+def _fold_tree(right: np.ndarray, start: np.ndarray, tree: _Tree) -> np.ndarray:
+    """``folded[i, e]``: ``start[i]`` moved along the tree word of e, a
+    letter l taking c to ``right[c, l]``.  The tree is folded a level at
+    a time, each element from its parent's column:
+
+        folded[:, e] == right[folded[:, parent[e]], letter[e]],
+
+    and a root from ``start`` itself.  Columns off the tree are left
+    unset."""
+    folded = np.empty((len(start), len(tree.parent)), dtype=np.intp)
+    for k, nodes in enumerate(tree.levels):
+        at = start[:, None] if k == 0 else folded[:, tree.parent[nodes]]
+        folded[:, nodes] = right[at, tree.letter[nodes]]
+    return folded
 
 
 def unreached(product: np.ndarray, gens: Sequence[int]) -> list[int]:
     """The elements, in order, that are not products of ``gens``."""
-    reached = np.zeros(len(product), dtype=bool)
-    start = np.array(gens, dtype=np.intp)
-    _right_closure(product, start, start, reached)
-    return np.flatnonzero(~reached).tolist()
+    return np.flatnonzero(_generated_tree(product, gens).letter < 0).tolist()
 
 
 def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
@@ -266,11 +314,9 @@ def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
     for i in range(len(product)):
         if reached[i]:
             continue
-        old = np.flatnonzero(reached)
         gens.append(i)
-        # old elements have met every earlier generator, not this one
-        _right_closure(product, np.append(product[old, i], i),
-                       np.array(gens), reached)
+        # reached elements have met every earlier generator, not this one
+        _grow_tree(product, np.append(product[reached, i], i), np.array(gens), reached)
     return tuple(gens)
 
 
@@ -470,7 +516,8 @@ def close_generators(generators: Sequence[Hashable],
     ``multiply`` is called once per element and letter (Froidure and Pin,
     1997): the search keeps those products as the right Cayley graph
     R[e, l] = e g_l and records each new element j as p(j) g_l(j), its
-    parent times its last letter.  The table is then filled a BFS level
+    parent times its last letter.  The table is then that tree folded
+    through R from every element x at once (``_fold_tree``), a BFS level
     at a time.  A generator's column is a column of R, and for a later
     element
 
@@ -523,13 +570,9 @@ def close_generators(generators: Sequence[Hashable],
             right.append(row)
         bounds.append(len(elements))
     n = len(elements)
-    cayley = np.array(right, dtype=np.intp)
-    parents = np.array(parent, dtype=np.intp)
-    lasts = np.array([w[-1] for w in names], dtype=np.intp)
-    product = np.empty((n, n), dtype=np.intp)
-    product[:, :bounds[1]] = cayley[:, lasts[:bounds[1]]]
-    for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
-        product[:, lo:hi] = cayley[product[:, parents[lo:hi]], lasts[lo:hi]]
+    tree = _Tree([np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+                 np.array(parent, dtype=np.intp), np.array([w[-1] for w in names], dtype=np.intp))
+    product = _fold_tree(np.array(right, dtype=np.intp), np.arange(n), tree)
     table = SemigroupTable(n, product, generators=tuple(letter_to_index),
                            names=tuple(names))
     return Closure(table, tuple(elements), tuple(letter_to_index))

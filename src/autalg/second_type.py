@@ -10,8 +10,9 @@ quotients of that extension are decided exactly by ``quotient_construct``.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import (
     CheckReport,
@@ -20,10 +21,13 @@ from .core import (
     SemigroupTable,
     VerificationError,
     Word,
+    _fold_tree,
+    _generated_tree,
+    _Tree,
+    _tree_word,
     as_table,
     check_laws,
     evaluate_word,
-    unreached,
 )
 
 
@@ -95,6 +99,7 @@ class GeneratorHom:
     alphabet_size: int
     target: SemigroupTable
     assignment: tuple[int, ...]
+    _tree: _Tree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", tuple(self.assignment))
@@ -106,7 +111,8 @@ class GeneratorHom:
         for x, e in enumerate(self.assignment):
             if not 0 <= e < self.target.order:
                 raise ValueError(f"assignment[{x}] = {e} out of range")
-        missing = unreached(self.target.array, self.assignment)
+        object.__setattr__(self, "_tree", _generated_tree(self.target.array, self.assignment))
+        missing = np.flatnonzero(self._tree.letter < 0).tolist()
         if missing:
             raise ValueError(f"not surjective: elements {missing} unreached")
 
@@ -142,58 +148,60 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
     """Push the free word semantics of ``m`` down along ``mu`` (inputs) and
     ``nu`` (outputs), if that is well defined.
 
-    Decides exactly, with no length bound: from each start state, walk
-    the finite space of (input image, current state, output image)
-    triples reachable by words; the quotient exists iff the input image
-    always determines the other two coordinates.  Returns the quotient
-    automaton, or a witness pair of words showing the clash.
+    The behavior of a word w from state a is the pair (a . w, nu of the
+    output word), and the quotient exists iff the behavior from every
+    state depends on mu(w) alone.  That is decided exactly, with no
+    length bound, on mu's breadth-first tree over the columns mu(x) of
+    gamma: B[a, g] is the behavior of g's tree word from a, folded from
+    every state at once along the tree (``_fold_tree``) through the
+    pairs (state, output image or the empty word), and each edge (g, x)
+    of gamma's right Cayley graph is checked,
+
+        B[a, g mu(x)] == B[a, g] . x,
+
+    where ". x" reads letter x from that pair, and for the edges leaving
+    the empty word, B[a, mu(x)] == (a, empty) . x.  If all edges pass, the
+    behavior of every word w from a is B[a, mu(w)], by induction on the
+    length of w: for a letter it is the edge from the empty word, and
+    for w x it is B[a, mu(w)] . x == B[a, mu(w) mu(x)] == B[a, mu(w x)].
+    If an edge fails, the tree word of g mu(x) and the tree word of g
+    followed by x share an input image, and the two sides are their true
+    behaviors, so the quotient does not exist.
+
+    The tree depends on gamma and mu only, so a per-state breadth-first
+    search from a meets the elements in tree order, compares at the
+    same edges in the same order, and stops at its first failing one.
+    So the witness is the first failing edge of the lowest state, the
+    edges taken from the empty word first and then from each element in
+    tree order, letters in order.  Returns the quotient automaton, or
+    that witness pair of words.
     """
     if mu.alphabet_size != m.inputs.size:
         raise ValueError("mu alphabet does not match the automaton's inputs")
     if nu.alphabet_size != m.outputs.size:
         raise ValueError("nu alphabet does not match the automaton's outputs")
-    n_inputs = m.inputs.size
-    gamma, sigma = mu.target, nu.target
-    mu_a, nu_a = mu.assignment, nu.assignment
-    # g_right[g][x] == g mu(x) and s_right[s][y] == s nu(y)
-    g_right, s_right = gamma.array[:, mu_a].tolist(), sigma.array[:, nu_a].tolist()
-    nxt, out = m.next, m.out
-    next_table = []
-    out_table = []
-    for a0 in range(m.states.size):
-        seen: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        queue: deque[tuple[int, int, int, tuple[int, ...]]] = deque()
-        for x in range(n_inputs):
-            g = mu_a[x]
-            a1 = nxt[a0][x]
-            s = nu_a[out[a0][x]]
-            hit = seen.get(g)
-            if hit is None:
-                seen[g] = (a1, s, (x,))
-                queue.append((g, a1, s, (x,)))
-            elif (hit[0], hit[1]) != (a1, s):
-                return QuotientWitness(a0, Word(hit[2], n_inputs), Word((x,), n_inputs),
-                                       (hit[0], hit[1]), (a1, s))
-        while queue:
-            g, a1, s, word = queue.popleft()
-            for x in range(n_inputs):
-                g2 = g_right[g][x]
-                a2 = nxt[a1][x]
-                s2 = s_right[s][out[a1][x]]
-                hit = seen.get(g2)
-                if hit is None:
-                    w2 = word + (x,)
-                    seen[g2] = (a2, s2, w2)
-                    queue.append((g2, a2, s2, w2))
-                elif (hit[0], hit[1]) != (a2, s2):
-                    return QuotientWitness(a0, Word(hit[2], n_inputs),
-                                           Word(word + (x,), n_inputs),
-                                           (hit[0], hit[1]), (a2, s2))
-        # mu is surjective, so every semigroup element was reached
-        next_table.append(tuple(seen[g][0] for g in range(gamma.order)))
-        out_table.append(tuple(seen[g][1] for g in range(gamma.order)))
+    gamma, sigma, tree, n = mu.target, nu.target, mu._tree, m.inputs.size
+    mu_a, nu_a, width = np.array(mu.assignment), np.array(nu.assignment), sigma.order + 1
+    # pair (a, s) is a * width + s, where s == sigma.order is the empty word
+    times = np.vstack([sigma.array, np.arange(sigma.order)])  # s t, or t after the empty word
+    moved = times[:, nu_a[np.array(m.out)]].transpose(1, 0, 2)  # [a, s, x] == s nu(a * x)
+    right = (np.array(m.next)[:, None] * width + moved).reshape(-1, n)  # [pair, x] == pair . x
+    start = np.arange(m.states.size) * width + sigma.order
+    behavior, order = _fold_tree(right, start, tree), np.concatenate(tree.levels)
+    # edge (e, x) leaves the empty word (e == 0) or element order[e - 1]
+    sources = np.hstack([start[:, None], behavior[:, order]])
+    targets = np.vstack([mu_a, gamma.array[order[:, None], mu_a]])
+    via = right[sources]
+    bad = np.argwhere(via != behavior[:, targets])
+    if bad.size:
+        a, e, x = bad[0].tolist()
+        g = int(targets[e, x])
+        v = (_tree_word(tree, order[e - 1]) if e else ()) + (x,)
+        return QuotientWitness(a, Word(_tree_word(tree, g), n), Word(v, n),
+                               divmod(int(behavior[a, g]), width), divmod(int(via[a, e, x]), width))
+    next_table, out_table = np.divmod(behavior, width)
     result = SemigroupAutomatonSecond(m.states, gamma, sigma,
-                                      tuple(next_table), tuple(out_table))
+                                      next_table.tolist(), out_table.tolist())
     report = check_second_axioms(result)
     if not report.ok:
         raise VerificationError(f"quotient failed its own laws: {report.describe()}")

@@ -8,21 +8,27 @@ scans) so they cannot share a bug with the code under test.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 from random import Random
 
 from autalg import (
     Closure,
     FiniteSet,
+    GeneratorHom,
     MealyElement,
     MealyMachine,
     PureAutomatonFirst,
     PureAutomatonSecond,
+    QuotientWitness,
     SemigroupAutomatonFirst,
+    SemigroupAutomatonSecond,
     SemigroupTable,
     Transformation,
+    VerificationError,
     Word,
     all_words,
+    check_second_axioms,
     close_generators,
     compose_transformations,
     element_apply,
@@ -129,15 +135,29 @@ def semigroupify_oracle(m: PureAutomatonFirst) -> SemigroupAutomatonFirst:
     return SemigroupAutomatonFirst(m.states, closure.table, m.outputs, nxt, out)
 
 
-def is_generated_by(table: tuple[tuple[int, ...], ...], gens) -> bool:
-    """Every element is a generator or a product e g of a reached element
-    and a generator."""
+def right_closure_oracle(table: tuple[tuple[int, ...], ...], gens) -> set[int]:
+    """The generators and every product e g of a reached element and a
+    generator, grown to a fixed point."""
     reached = set(gens)
     while True:
         grown = reached | {table[e][g] for e in reached for g in gens}
         if grown == reached:
-            return len(reached) == len(table)
+            return reached
         reached = grown
+
+
+def is_generated_by(table: tuple[tuple[int, ...], ...], gens) -> bool:
+    return len(right_closure_oracle(table, gens)) == len(table)
+
+
+def greedy_generators_oracle(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Each index, in order, joins the generators unless the closure of
+    the generators so far already holds it."""
+    gens: list[int] = []
+    for i in range(len(table)):
+        if i not in right_closure_oracle(table, gens):
+            gens.append(i)
+    return tuple(gens)
 
 
 def wreath_table_oracle(g1: SemigroupTable, points: int,
@@ -447,3 +467,63 @@ def relabel(e: MealyElement, perm: list[int]) -> MealyElement:
         out[perm[q]] = m.out[q]
     return MealyElement(MealyMachine(m.states, m.alphabet, tuple(nxt), tuple(out)),
                         perm[e.initial])
+
+
+# --- second-type quotients: one breadth-first search per start state ----
+
+def quotient_oracle(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHom
+                    ) -> SemigroupAutomatonSecond | QuotientWitness:
+    """From each start state, walk the finite space of (input image,
+    current state, output image) triples reachable by words, breadth
+    first; the quotient exists iff the input image always determines the
+    other two coordinates.  The first clash found is the witness."""
+    if mu.alphabet_size != m.inputs.size:
+        raise ValueError("mu alphabet does not match the automaton's inputs")
+    if nu.alphabet_size != m.outputs.size:
+        raise ValueError("nu alphabet does not match the automaton's outputs")
+    n_inputs = m.inputs.size
+    gamma, sigma = mu.target, nu.target
+    mu_a, nu_a = mu.assignment, nu.assignment
+    # g_right[g][x] == g mu(x) and s_right[s][y] == s nu(y)
+    g_right, s_right = gamma.array[:, mu_a].tolist(), sigma.array[:, nu_a].tolist()
+    nxt, out = m.next, m.out
+    next_table = []
+    out_table = []
+    for a0 in range(m.states.size):
+        seen: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        queue: deque[tuple[int, int, int, tuple[int, ...]]] = deque()
+        for x in range(n_inputs):
+            g = mu_a[x]
+            a1 = nxt[a0][x]
+            s = nu_a[out[a0][x]]
+            hit = seen.get(g)
+            if hit is None:
+                seen[g] = (a1, s, (x,))
+                queue.append((g, a1, s, (x,)))
+            elif (hit[0], hit[1]) != (a1, s):
+                return QuotientWitness(a0, Word(hit[2], n_inputs), Word((x,), n_inputs),
+                                       (hit[0], hit[1]), (a1, s))
+        while queue:
+            g, a1, s, word = queue.popleft()
+            for x in range(n_inputs):
+                g2 = g_right[g][x]
+                a2 = nxt[a1][x]
+                s2 = s_right[s][out[a1][x]]
+                hit = seen.get(g2)
+                if hit is None:
+                    w2 = word + (x,)
+                    seen[g2] = (a2, s2, w2)
+                    queue.append((g2, a2, s2, w2))
+                elif (hit[0], hit[1]) != (a2, s2):
+                    return QuotientWitness(a0, Word(hit[2], n_inputs),
+                                           Word(word + (x,), n_inputs),
+                                           (hit[0], hit[1]), (a2, s2))
+        # mu is surjective, so every semigroup element was reached
+        next_table.append(tuple(seen[g][0] for g in range(gamma.order)))
+        out_table.append(tuple(seen[g][1] for g in range(gamma.order)))
+    result = SemigroupAutomatonSecond(m.states, gamma, sigma,
+                                      tuple(next_table), tuple(out_table))
+    report = check_second_axioms(result)
+    if not report.ok:
+        raise VerificationError(f"quotient failed its own laws: {report.describe()}")
+    return result

@@ -26,7 +26,13 @@ from autalg import (
     wreath_product,
     wreath_triple,
 )
-from helpers import all_actions, random_pure_first, semigroups_up_to_iso, wreath_table_oracle
+from helpers import (
+    all_actions,
+    greedy_generators_oracle,
+    random_pure_first,
+    semigroups_up_to_iso,
+    wreath_table_oracle,
+)
 
 Z2 = SemigroupTable(2, ((0, 1), (1, 0)))
 Z3 = SemigroupTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -158,6 +164,7 @@ class TestWreathSemigroup:
                 for action in all_actions(g2, points):
                     w = wreath_product(g1, FiniteSet(points), action, g2)
                     assert w.table.product == wreath_table_oracle(g1, points, action, g2)
+                    assert w.table.generating_set == greedy_generators_oracle(w.table.product)
                     checked += 1
         assert checked > 100
 

@@ -30,6 +30,7 @@ from autalg.core import as_table
 from helpers import (
     _is_associative,
     as_table_oracle,
+    greedy_generators_oracle,
     is_generated_by,
     naive_closure_table,
     semigroups_up_to_iso,
@@ -358,6 +359,51 @@ def tables(max_order):
         lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                            min_size=n, max_size=n)
     ).map(lambda rows: tuple(tuple(r) for r in rows))
+
+
+class TestSpanningTree:
+    """The breadth-first tree over a table's generator columns."""
+
+    @given(st.lists(transformations(4), min_size=1, max_size=3), st.booleans(), st.data())
+    def test_closure_tables_are_listed_in_closure_order(self, gens, repeat, data):
+        if repeat:
+            gens = gens + gens[:1]
+        table = close_generators(gens, compose_transformations, cap=256).table
+        tree = core._generated_tree(table.array, table.generators)
+        assert np.concatenate(tree.levels).tolist() == list(range(table.order))
+        assert tuple(core._tree_word(tree, e) for e in range(table.order)) == table.names
+        for k, level in enumerate(tree.levels):
+            assert all(len(table.names[e]) == k + 1 for e in level)
+        # relabelled by p, element i becomes p[i]: the tree follows the labels
+        p = np.array(data.draw(st.permutations(range(table.order))))
+        relabelled = np.empty_like(table.array)
+        relabelled[p[:, None], p] = p[table.array]
+        tree = core._generated_tree(relabelled, p[list(table.generators)])
+        assert np.concatenate(tree.levels).tolist() == p.tolist()
+        assert tuple(core._tree_word(tree, e) for e in p) == table.names
+
+    @given(st.lists(pairs(2, 2), min_size=1, max_size=3))
+    def test_pair_closure_tables_are_listed_in_closure_order(self, gens):
+        table = close_generators(gens, multiply_pair).table
+        tree = core._generated_tree(table.array, table.generators)
+        assert np.concatenate(tree.levels).tolist() == list(range(table.order))
+        assert tuple(core._tree_word(tree, e) for e in range(table.order)) == table.names
+
+    def test_unreached_elements_are_off_the_tree(self):
+        z2 = np.array([[0, 1], [1, 0]])
+        tree = core._generated_tree(z2, (0,))
+        assert [level.tolist() for level in tree.levels] == [[0]]
+        assert tree.letter.tolist() == [0, -1]
+        assert core.unreached(z2, (0,)) == [1]
+
+    @given(st.lists(transformations(3), min_size=1, max_size=3))
+    def test_greedy_generators_of_closure_tables(self, gens):
+        table = close_generators(gens, compose_transformations).table
+        assert core._greedy_generators(table.array) == greedy_generators_oracle(table.product)
+
+    @given(tables(5))
+    def test_greedy_generators_of_any_table(self, table):
+        assert core._greedy_generators(np.array(table)) == greedy_generators_oracle(table)
 
 
 class TestLightAgainstOracle:

@@ -366,6 +366,13 @@ class TestCheckCommand:
         assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
                      "--max-len", "4"]) == 0
 
+    def test_negative_max_len_is_an_input_error(self, capsys):
+        assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
+                     "--max-len", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-len must be at least 0\n"
+
     def test_corrupt_witness_is_printed(self, capsys):
         assert main(["check", str(FIXTURES / "first_semigroup_corrupt.json")]) == 1
         out = capsys.readouterr().out
@@ -460,7 +467,9 @@ class TestConstructCommand:
                      str(FIXTURES / "hom_nu_leftzero.json"),
                      "-o", str(tmp_path / "never.json")])
         assert code == 1
-        assert "incompatible" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "incompatible: words (0,) and (1,) share an input image but behave "
+            "as (0, 0) vs (0, 1) from state 0\n")
         assert not (tmp_path / "never.json").exists()
 
     def test_embed(self, capsys):
@@ -570,6 +579,24 @@ class TestGroupCommand:
         path = str(FIXTURES / "mealy_odometer.json")
         assert main(["group", "equal", path, path, "--depth", "5"]) == 0
         assert "agree" in capsys.readouterr().out
+
+    def test_depth_zero_is_off_and_a_negative_depth_an_input_error(self, capsys):
+        path = str(FIXTURES / "mealy_odometer.json")
+        assert main(["group", "equal", path, path, "--depth", "0"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["group", "equal", path, path, "--depth", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --depth must be at least 0\n"
+
+    @pytest.mark.parametrize("option", ["--max-power", "--max-states"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_order_bounds_below_one_are_an_input_error(self, capsys, option, value):
+        assert main(["group", "order", str(FIXTURES / "mealy_odometer.json"),
+                     option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be at least 1\n"
 
     def test_order_of_the_swap_generator(self, capsys):
         assert main(["group", "order", str(FIXTURES / "mealy_grigorchuk.json")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -22,7 +23,7 @@ from autalg import (
     quotient_construct,
 )
 from autalg.mealy import odometer
-from helpers import random_closure, random_pure_second
+from helpers import quotient_oracle, random_closure, random_pure_second
 
 Z2 = SemigroupTable(2, ((0, 1), (1, 0)))
 LEFT_ZERO = SemigroupTable(2, ((0, 0), (1, 1)))
@@ -107,6 +108,13 @@ class TestGeneratorHom:
         with pytest.raises(ValueError, match=r"^not surjective: elements \[1\] unreached$"):
             GeneratorHom(1, Z2, (0,))  # the identity of Z2 does not generate it
 
+    def test_tree_is_kept_out_of_equality_hash_and_repr(self):
+        mu = GeneratorHom(2, Z2, (1, 1))
+        again = GeneratorHom(2, Z2, [1, 1])
+        assert mu == again and hash(mu) == hash(again)
+        assert repr(mu) == f"GeneratorHom(alphabet_size=2, target={Z2!r}, assignment=(1, 1))"
+        assert [level.tolist() for level in mu._tree.levels] == [[1], [0]]
+
     def test_apply_folds_products(self):
         mu = GeneratorHom(1, Z2, (1,))
         assert mu.apply(Word((0,), 1)) == 1
@@ -175,10 +183,55 @@ class TestQuotientConstruct:
             expected = _brute_force_compatible(m, mu, nu, 6)
             assert isinstance(got, SemigroupAutomatonSecond) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_state_search(self, data):
+        """One closure's action on 1-4 points gives a machine with a
+        quotient; redirecting one letter that shares its input image with
+        an earlier letter gives a clash; a random machine over the same
+        homs may give either.  All three agree with the per-state search,
+        witness words and behaviors included."""
+        points = data.draw(st.integers(1, 4), label="states")
+        rng = Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+        closure = random_closure(rng, rng.randint(1, 2), 30, points=points)
+        mu = _hom_repeating_images(rng, closure.table, closure.letter_to_index)
+        # outputs 0..points: nu maps them onto the right-zero semigroup
+        # (s t == t), so a word's output image is its last output letter
+        right_zero = SemigroupTable(points + 1, [list(range(points + 1))] * (points + 1))
+        nu = _hom_repeating_images(rng, right_zero, range(points + 1))
+        letter_of = {e: y for y, e in reversed(list(enumerate(nu.assignment)))}
+        moves = [closure.elements[g].image for g in mu.assignment]
+        nxt = tuple(tuple(move[a] for move in moves) for a in range(points))
+        out = tuple(tuple(letter_of[a] for a in row) for row in nxt)
+        aligned = PureAutomatonSecond(FiniteSet(points), FiniteSet(len(moves)),
+                                      FiniteSet(len(nu.assignment)), nxt, out)
+        # x shares its image with an earlier letter; from state a it now
+        # outputs the one element no aligned run produces
+        x = next(x for x, g in enumerate(mu.assignment) if g in mu.assignment[:x])
+        a = rng.randrange(points)
+        bent = [list(row) for row in out]
+        bent[a][x] = letter_of[points]
+        clashing = dataclasses.replace(aligned, out=tuple(map(tuple, bent)))
+        drawn = random_pure_second(rng, points, len(moves), len(nu.assignment))
+        for m, kind in ((aligned, SemigroupAutomatonSecond), (clashing, QuotientWitness),
+                        (drawn, object)):
+            got = quotient_construct(m, mu, nu)
+            assert got == quotient_oracle(m, mu, nu)
+            assert isinstance(got, kind)
+
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             quotient_construct(PARITY, GeneratorHom(2, Z2, (1, 1)),
                                GeneratorHom(1, Z2, (1,)))
+
+
+def _hom_repeating_images(rng: Random, table: SemigroupTable, images) -> GeneratorHom:
+    """A hom onto ``table`` sending the letters to ``images`` and one or
+    two more letters to images already used, in a shuffled order."""
+    assignment = list(images)
+    assignment += rng.choices(assignment, k=rng.randint(1, 2))
+    rng.shuffle(assignment)
+    return GeneratorHom(len(assignment), table, assignment)
 
 
 def _hom_from_closure(rng: Random, alphabet: int, max_order: int) -> GeneratorHom:
