@@ -107,10 +107,17 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     order and the table are those of closing ``to_universal(m)`` under
     ``multiply_pair``.
 
-    The closure's table is exactly the pair product table: for every
-    state a, ``nxt[a][T] == nxt[nxt[a]]`` and ``out[a][T] == out[nxt[a]]``
-    say that element T[x, y] has the state and output columns of the pair
-    product of x and y, and distinct elements have distinct columns.
+    The closure's table is exactly the pair product table.  Only its
+    generator columns are checked: for every state a and generator g,
+    ``nxt[a][T[:, g]] == nxt[nxt[a]][g]`` and
+    ``out[a][T[:, g]] == out[nxt[a]][g]`` say that element T[x, g] has
+    the state and output columns of the pair product of x and g, and
+    distinct elements have distinct columns.  The rest follows:
+    ``close_generators`` fills T[x, j] = T[T[x, p(j)], g(j)] along its
+    tree, g(j) being the generator of j's last letter, and j was found
+    as T[p(j), g(j)], so j is the pair product p(j) g(j).  By induction
+    along the tree and associativity of the pair product,
+    T[x, j] == (x p(j)) g(j) == x (p(j) g(j)) == x j.
     VerificationError is raised otherwise.
     """
     size = m.states.size
@@ -118,11 +125,12 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     closure = close_generators(gens, partial(multiply_flat, size), cap)
     flat = np.array(closure.elements, dtype=np.intp).T
     nxt, out = flat[:size], flat[size:]
-    product = closure.table.array
+    cols = list(closure.letter_to_index)
+    product = closure.table.array[:, cols]
     for a in range(m.states.size):
         moved = nxt[a]
-        if not (np.array_equal(moved[product], nxt[moved])
-                and np.array_equal(out[a][product], out[moved])):
+        if not (np.array_equal(moved[product], nxt[:, cols][moved])
+                and np.array_equal(out[a][product], out[:, cols][moved])):
             raise VerificationError(
                 f"closure table differs from the pair product at state {a}")
     return SemigroupAutomatonFirst(m.states, closure.table, m.outputs,

@@ -14,11 +14,9 @@ are involutions with b c == d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import FiniteSet, Word, as_table, bfs_order
-from .second_type import PureAutomatonSecond
-from .serial import AutomatonMapping, NotInvertible, apply_mapping
+from .core import Word, as_table, bfs_order
+from .serial import NotInvertible
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,13 +49,6 @@ def non_invertible_state(m: MealyMachine) -> int | None:
 
 def is_invertible(m: MealyMachine) -> bool:
     return non_invertible_state(m) is None
-
-
-@lru_cache(maxsize=8192)
-def as_second(m: MealyMachine) -> PureAutomatonSecond:
-    """View the machine as a letter-to-letter automaton with Y == X."""
-    return PureAutomatonSecond(FiniteSet(m.states), FiniteSet(m.alphabet),
-                               FiniteSet(m.alphabet), m.next, m.out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +103,14 @@ def grigorchuk_elements() -> dict[str, MealyElement]:
 
 def element_apply(e: MealyElement, u: Word) -> Word:
     """The image of ``u`` under the initialized run."""
-    return apply_mapping(AutomatonMapping(as_second(e.machine), e.initial), u)
+    m, q = e.machine, e.initial
+    if u.alphabet_size != m.alphabet:
+        raise ValueError(f"word over {u.alphabet_size} letters, {m.alphabet} inputs")
+    produced = []
+    for x in u.letters:
+        produced.append(m.out[q][x])
+        q = m.next[q][x]
+    return Word(tuple(produced), m.alphabet)
 
 
 def element_compose(e1: MealyElement, e2: MealyElement) -> MealyElement:

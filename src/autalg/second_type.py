@@ -19,7 +19,6 @@ from .core import (
     FiniteSet,
     PureAutomaton,
     SemigroupTable,
-    VerificationError,
     Word,
     _fold_tree,
     _generated_tree,
@@ -173,8 +172,11 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
     same edges in the same order, and stops at its first failing one.
     So the witness is the first failing edge of the lowest state, the
     edges taken from the empty word first and then from each element in
-    tree order, letters in order.  Returns the quotient automaton, or
-    that witness pair of words.
+    tree order, letters in order.  Returns that witness pair of words,
+    or else the quotient automaton, whose state and accumulation laws
+    need no further check: mu is surjective, and for any words u and v,
+    B[a, mu(u v)] is the run of u v from a, which is the run of u
+    followed by the run of v from the state u leads to.
     """
     if mu.alphabet_size != m.inputs.size:
         raise ValueError("mu alphabet does not match the automaton's inputs")
@@ -200,9 +202,5 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
         return QuotientWitness(a, Word(_tree_word(tree, g), n), Word(v, n),
                                divmod(int(behavior[a, g]), width), divmod(int(via[a, e, x]), width))
     next_table, out_table = np.divmod(behavior, width)
-    result = SemigroupAutomatonSecond(m.states, gamma, sigma,
-                                      next_table.tolist(), out_table.tolist())
-    report = check_second_axioms(result)
-    if not report.ok:
-        raise VerificationError(f"quotient failed its own laws: {report.describe()}")
-    return result
+    return SemigroupAutomatonSecond(m.states, gamma, sigma,
+                                    next_table.tolist(), out_table.tolist())

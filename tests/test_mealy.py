@@ -78,6 +78,10 @@ class TestElementApply:
             w = Word(tuple(rng.randrange(2) for _ in range(rng.randint(1, 8))), 2)
             assert len(element_apply(e, w)) == len(w)
 
+    def test_word_over_another_alphabet_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^word over 3 letters, 2 inputs$"):
+            element_apply(odometer(), Word((2,), 3))
+
 
 class TestElementCompose:
     def test_identity_is_neutral(self):

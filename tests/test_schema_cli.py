@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import re
@@ -361,10 +362,29 @@ class TestCheckCommand:
         assert code == 0
 
     def test_word_bound_check_on_pure_files(self):
+        # the length sets no work, so 64 (2**64 words) passes at once
+        for max_len in ("4", "64"):
+            assert main(["check", str(FIXTURES / "first_pure_swap.json"),
+                         "--max-len", max_len]) == 0
+            assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
+                         "--max-len", max_len]) == 0
+
+    def test_word_bound_check_compares_generator_columns(self, monkeypatch, capsys):
+        import autalg.cli as cli
+
+        def altered(m):
+            image = semigroupify(m)
+            g = image.gamma.generators[0]
+            out = [list(row) for row in image.out]
+            out[1][g] = 1 - out[1][g]
+            return dataclasses.replace(image, out=out)
+
+        monkeypatch.setattr(cli, "semigroupify", altered)
         assert main(["check", str(FIXTURES / "first_pure_swap.json"),
-                     "--max-len", "4"]) == 0
-        assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
-                     "--max-len", "4"]) == 0
+                     "--max-len", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "fail: pure/semigroup word agreement at (1, (0,)): "
+            "lhs = Run(state=0, output=1), rhs = Run(state=0, output=0)\n")
 
     def test_negative_max_len_is_an_input_error(self, capsys):
         assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
