@@ -10,7 +10,8 @@ coordinate's input through alpha, which also reads the second state:
 For semigroup automata beta must be a homomorphism and alpha must satisfy
 the crossed law alpha(a2, g1 g2) == alpha(a2, g1) alpha(a2 . beta(g1), g2).
 The wreath product is the largest such connection: every other one maps
-into it, uniquely.
+into it, uniquely, through g |-> (alpha(., g), beta(g)), a rank formula
+that needs no wreath table (``embed_into_wreath``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     CheckReport,
     FiniteSet,
     SemigroupTable,
-    VerificationError,
     as_table,
     check_laws,
 )
@@ -231,10 +231,31 @@ class WreathProduct:
     elements: tuple[WreathElement, ...]
 
     def index(self, e: WreathElement) -> int:
-        rank = 0
-        for v in e.bar:
-            rank = rank * self.g1.order + v
-        return rank * self.g2.order + e.g2
+        return _rank(e.bar, e.g2, self.g1.order, self.g2.order)
+
+
+def _rank(bar: Sequence[int], g2: int, n1: int, n2: int) -> int:
+    """The rank of (bar, g2) among the wreath elements over semigroups of
+    orders n1 and n2, in Python ints, so no order overflows it."""
+    rank = 0
+    for v in bar:
+        rank = rank * n1 + v
+    return rank * n2 + g2
+
+
+def _wreath_order(g1: SemigroupTable, a2: FiniteSet, action, g2: SemigroupTable,
+                  cap: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The action as a table and the wreath product's order, once the
+    action is checked to be one and the order to be within ``cap``."""
+    action = as_table("action", action, a2.size, g2.order, a2.size)
+    report = check_laws(g2, action, [("action", action, None)])
+    if not report.ok:
+        a, s, s2 = report.witness
+        raise ValueError(f"not an action: a.(s s') != (a.s).s' at ({a}, {s}, {s2})")
+    order = g1.order ** a2.size * g2.order
+    if order > cap:
+        raise CapExceeded(f"wreath product order {order} exceeds cap {cap}")
+    return action, order
 
 
 def wreath_product(g1: SemigroupTable, a2: FiniteSet,
@@ -248,14 +269,7 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
 
         (f, s)(f', s') == (a |-> f(a) f'(a . s), s s')
     """
-    action = as_table("action", action, a2.size, g2.order, a2.size)
-    report = check_laws(g2, action, [("action", action, None)])
-    if not report.ok:
-        a, s, s2 = report.witness
-        raise ValueError(f"not an action: a.(s s') != (a.s).s' at ({a}, {s}, {s2})")
-    order = g1.order ** a2.size * g2.order
-    if order > cap:
-        raise CapExceeded(f"wreath product order {order} exceeds cap {cap}")
+    action, order = _wreath_order(g1, a2, action, g2, cap)
     bars = np.indices((g1.order,) * a2.size).reshape(a2.size, -1).T  # lexicographic
     elements = tuple(WreathElement(bar, s) for bar in map(tuple, bars.tolist())
                      for s in range(g2.order))
@@ -291,35 +305,28 @@ def wreath_automaton(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
     return cascade_semigroup(m1, m2, t), t
 
 
-def embed_into_wreath(t: CascadeTripleSemigroup, w: WreathProduct) -> tuple[int, ...]:
-    """The canonical homomorphism from a cascade triple's semigroup into
-    the wreath product: g |-> (a2 |-> alpha(a2, g), beta(g)).
+def embed_into_wreath(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
+                      m2: SemigroupAutomatonFirst, cap: int = DEFAULT_CAP
+                      ) -> tuple[int, ...] | CheckReport:
+    """The canonical map phi: g |-> (a2 |-> alpha(a2, g), beta(g)) from a
+    cascade triple's semigroup into the wreath product of m1's semigroup by
+    m2's acting through m2.next (``wreath_automaton``'s), as ranks
+    (``WreathProduct.index``).  An invalid triple gives
+    ``check_semigroup_triple``'s failing report instead; then a table that
+    is no action raises ValueError, and an order past ``cap`` CapExceeded.
 
-    Verifies that the map is a homomorphism, that it commutes with both
-    triples' alpha and beta, and that it is the only map doing so (the
-    wreath coordinates force it pointwise: with pairwise distinct wreath
-    elements, the element at phi(g) is the only one with g's
-    coordinates).  Any failure raises VerificationError; with a valid
-    triple none can occur.
+    No wreath table is needed.  By the wreath formula, with a . s ==
+    m2.next[a][s], phi(g1) phi(g2) == (a |-> alpha(a, g1) alpha(a . beta(g1),
+    g2), beta(g1) beta(g2)), while phi(g1 g2) == (alpha(., g1 g2), beta(g1 g2)):
+    they agree for all g1, g2 iff beta is a homomorphism and alpha obeys the
+    crossed law, which is what the triple check decides.  The wreath
+    triple's alpha and beta read off a wreath element's two coordinates
+    (``wreath_triple``), so phi commutes with both triples; and since those
+    coordinates fix the element, phi is the only map that does.
     """
-    n_a2 = w.a2.size
-    if len(t.alpha) != n_a2:
-        raise ValueError(f"alpha has {len(t.alpha)} state rows, wreath expects {n_a2}")
-    as_table("alpha", t.alpha, n_a2, t.gamma.order, w.g1.order)
-    as_table("beta", (t.beta,), 1, t.gamma.order, w.g2.order)
-    images = [WreathElement(tuple(t.alpha[a2][g] for a2 in range(n_a2)), t.beta[g])
-              for g in range(t.gamma.order)]
-    phi = tuple(w.index(e) for e in images)
-    if len(set(w.elements)) != len(w.elements):
-        raise VerificationError("wreath elements are not pairwise distinct")
-    for g, e in enumerate(images):
-        if w.elements[phi[g]] != e:
-            matches = [i for i, f in enumerate(w.elements) if f == e]
-            raise VerificationError(
-                f"diagram-compatible images of element {g} are {matches}, "
-                f"expected exactly [{phi[g]}]")
-    morphism = check_semigroup_triple_morphism(t, wreath_triple(w), phi)
-    if not morphism.ok:
-        raise VerificationError(f"canonical map is not a triple morphism: "
-                                f"{morphism.describe()}")
-    return phi
+    report = check_semigroup_triple(t, m1, m2)
+    if not report.ok:
+        return report
+    _wreath_order(m1.gamma, m2.states, m2.next, m2.gamma, cap)
+    n1, n2 = m1.gamma.order, m2.gamma.order
+    return tuple(_rank(bar, g2, n1, n2) for bar, g2 in zip(zip(*t.alpha), t.beta))

@@ -2,7 +2,7 @@
 
 Exit codes are uniform across verbs: 0 for a pass or a computed result,
 1 for a failed property (an axiom violation, an incompatible quotient, a
-false equality, a failed embedding check), 2 for usage or input errors,
+false equality, an invalid embedding triple), 2 for usage or input errors,
 for a construction that fails its own built-in verification
 (``VerificationError``, printed as ``error: ...``) and for running out of
 memory (``MemoryError``, printed as ``error: out of memory``).
@@ -29,7 +29,7 @@ from .cascade import (
     check_semigroup_triple,
     embed_into_wreath,
     wreath_automaton,
-    wreath_product,
+    wreath_product,  # noqa: F401  re-exported: the bench tracer wraps it here
 )
 from .core import CapExceeded, CheckReport, DEFAULT_CAP, VerificationError, Word, all_words
 from .first_type import (
@@ -113,9 +113,14 @@ def _write(path: str | None, obj) -> str:
     return f"wrote {path}"
 
 
-def _export_dot(path: str | None, obj) -> None:
-    if path is not None:
-        Path(path).write_text(dot_mod.to_dot(obj))
+def _emit(args, built) -> CommandResult:
+    """Write a built object, then its DOT rendering.  The rendering is
+    made first, so an object that has none writes no file."""
+    text = None if args.dot is None else dot_mod.to_dot(built)
+    message = _write(args.output, built)
+    if text is not None:
+        Path(args.dot).write_text(text)
+    return _passed(message)
 
 
 def _load_as(path: str, kind, what: str):
@@ -134,7 +139,8 @@ def _component_type(triple) -> tuple:
 
 def cmd_check(args) -> CommandResult:
     obj = schema.load(args.file)
-    _export_dot(args.dot, obj)
+    if args.dot is not None:
+        Path(args.dot).write_text(dot_mod.to_dot(obj))
     report = CheckReport.passed()
     notes = []
     if isinstance(obj, SemigroupAutomatonFirst):
@@ -219,14 +225,9 @@ def cmd_construct(args) -> CommandResult:
         triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
         m1 = _load_as(args.inputs[1], SemigroupAutomatonFirst, "a first-semigroup automaton")
         m2 = _load_as(args.inputs[2], SemigroupAutomatonFirst, "a first-semigroup automaton")
-        report = check_semigroup_triple(triple, m1, m2)
-        if not report.ok:
-            return _failed("triple invalid: " + report.describe())
-        w = wreath_product(m1.gamma, m2.states, m2.next, m2.gamma, cap=args.cap)
-        try:
-            mapping = embed_into_wreath(triple, w)
-        except VerificationError as exc:
-            return _failed(f"embedding verification failed: {exc}")
+        mapping = embed_into_wreath(triple, m1, m2, cap=args.cap)
+        if isinstance(mapping, CheckReport):
+            return _failed("triple invalid: " + mapping.describe())
         message = "embedding " + " ".join(str(v) for v in mapping)
         if args.output:
             Path(args.output).write_text(json.dumps(
@@ -236,9 +237,7 @@ def cmd_construct(args) -> CommandResult:
         return _passed(message)
     else:  # unreachable behind argparse choices
         raise ValueError(f"unknown verb {verb!r}")
-    message = _write(args.output, built)
-    _export_dot(args.dot, built)
-    return _passed(message)
+    return _emit(args, built)
 
 
 def _load_element(path: str) -> MealyElement:
@@ -255,23 +254,18 @@ def cmd_group(args) -> CommandResult:
     if verb == "compose":
         e1 = _load_element(args.inputs[0])
         e2 = _load_element(args.inputs[1])
-        built = element_compose(e1, e2)
-        message = _write(args.output, built)
-        _export_dot(args.dot, built)
-        return _passed(message)
+        return _emit(args, element_compose(e1, e2))
     if verb == "invert":
-        built = element_invert(_load_element(args.inputs[0]))
-        message = _write(args.output, built)
-        _export_dot(args.dot, built)
-        return _passed(message)
+        return _emit(args, element_invert(_load_element(args.inputs[0])))
     if verb == "equal":
         e1 = _load_element(args.inputs[0])
         e2 = _load_element(args.inputs[1])
         verdict = element_equal(e1, e2)
         lines = ["true" if verdict else "false"]
         if args.depth:
-            agree = all(element_apply(e1, w) == element_apply(e2, w)
-                        for w in all_words(e1.machine.alphabet, args.depth))
+            # the verdict is exact, so only unequal elements are enumerated
+            agree = verdict or all(element_apply(e1, w) == element_apply(e2, w)
+                                   for w in all_words(e1.machine.alphabet, args.depth))
             lines.append(f"words up to length {args.depth} "
                          + ("agree" if agree else "disagree"))
         message = "\n".join(lines)
@@ -284,10 +278,7 @@ def cmd_group(args) -> CommandResult:
                                        max_states=args.max_states)
         return _passed(result.describe())
     if verb == "minimize":
-        built = minimize_element(_load_element(args.inputs[0]))
-        message = _write(args.output, built)
-        _export_dot(args.dot, built)
-        return _passed(message)
+        return _emit(args, minimize_element(_load_element(args.inputs[0])))
     raise ValueError(f"unknown verb {verb!r}")
 
 
@@ -333,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "otherwise each token is one letter.")
     group.add_argument("-o", "--output", help="output file for machine results")
     group.add_argument("--depth", type=int, default=0,
-                       help="equal: cross-check by word agreement to this depth (0: off)")
+                       help="equal: also say whether words up to this length agree (0: off)")
     group.add_argument("--max-power", type=int, default=64, help="order: power bound (at least 1)")
     group.add_argument("--max-states", type=int, default=100_000,
                        help="order: bound on the states of every minimized power")

@@ -37,7 +37,7 @@ def to_dot(obj) -> str:
         output = (partial(_element_label, obj.sigma) if isinstance(obj, SemigroupAutomatonSecond)
                   else obj.outputs.label)
     else:
-        raise TypeError(f"no DOT renderer for {type(obj).__name__}")
+        raise ValueError(f"no DOT renderer for {type(obj).__name__}")
     lines = ["digraph {", "  rankdir=LR;"]
     lines += [f"  {a} [{attributes}];" for a, attributes in enumerate(nodes)]
     for a, (row, outs) in enumerate(zip(obj.next, obj.out)):

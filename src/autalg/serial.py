@@ -13,7 +13,6 @@ the inverse by peeling one letter at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import CheckReport, FiniteSet, SemigroupTable, Word, as_table, bfs_order, check_laws
 from .first_type import SemigroupAutomatonFirst
@@ -132,7 +131,6 @@ def reachable_states(base: PureAutomatonSecond, start: int) -> frozenset[int]:
     return frozenset(bfs_order(base.next, start))
 
 
-@lru_cache(maxsize=8192)
 def _letter_inverses(base: PureAutomatonSecond, start: int) -> tuple[tuple[int, ...] | None, ...]:
     """Per-state inverse letter maps, or raise at the first reachable state
     whose letter map is not a bijection."""

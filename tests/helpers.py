@@ -27,8 +27,10 @@ from autalg import (
     Transformation,
     VerificationError,
     Word,
+    WreathElement,
     all_words,
     check_second_axioms,
+    check_semigroup_triple_morphism,
     close_generators,
     compose_transformations,
     element_apply,
@@ -36,7 +38,9 @@ from autalg import (
     identity_element,
     multiply_pair,
     to_universal,
+    wreath_triple,
 )
+from autalg.core import as_table
 
 
 # --- random objects ---------------------------------------------------
@@ -174,6 +178,35 @@ def wreath_table_oracle(g1: SemigroupTable, points: int,
                     prod2[s][s2])]
               for f2, s2 in elements)
         for f, s in elements)
+
+
+def embed_oracle(t, w) -> tuple[int, ...]:
+    """The canonical map g |-> (a2 |-> alpha(a2, g), beta(g)) into a built
+    wreath product, checked against its full table: the wreath elements
+    are pairwise distinct, each image sits at its rank, and the map is a
+    morphism onto the wreath triple.  Any failure raises
+    VerificationError, as it does for an invalid triple."""
+    n_a2 = w.a2.size
+    if len(t.alpha) != n_a2:
+        raise ValueError(f"alpha has {len(t.alpha)} state rows, wreath expects {n_a2}")
+    as_table("alpha", t.alpha, n_a2, t.gamma.order, w.g1.order)
+    as_table("beta", (t.beta,), 1, t.gamma.order, w.g2.order)
+    images = [WreathElement(tuple(t.alpha[a2][g] for a2 in range(n_a2)), t.beta[g])
+              for g in range(t.gamma.order)]
+    phi = tuple(w.index(e) for e in images)
+    if len(set(w.elements)) != len(w.elements):
+        raise VerificationError("wreath elements are not pairwise distinct")
+    for g, e in enumerate(images):
+        if w.elements[phi[g]] != e:
+            matches = [i for i, f in enumerate(w.elements) if f == e]
+            raise VerificationError(
+                f"diagram-compatible images of element {g} are {matches}, "
+                f"expected exactly [{phi[g]}]")
+    morphism = check_semigroup_triple_morphism(t, wreath_triple(w), phi)
+    if not morphism.ok:
+        raise VerificationError(f"canonical map is not a triple morphism: "
+                                f"{morphism.describe()}")
+    return phi
 
 
 # --- exhaustive small-structure catalogues ------------------------------

@@ -1,8 +1,10 @@
-import dataclasses
+import functools
 import itertools
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from autalg import (
     CascadeTriplePure,
@@ -28,6 +30,7 @@ from autalg import (
 )
 from helpers import (
     all_actions,
+    embed_oracle,
     greedy_generators_oracle,
     random_pure_first,
     semigroups_up_to_iso,
@@ -105,11 +108,10 @@ class TestTripleMorphism:
     def test_canonical_map_into_wreath_triple(self):
         m = regular_automaton(Z2)
         _, wt = wreath_automaton(m, m)
-        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
         # a serial-style triple: gamma = Z2, beta identity, alpha reads the element
         t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
         assert check_semigroup_triple(t, m, m).ok
-        mu = embed_into_wreath(t, w)
+        mu = embed_into_wreath(t, m, m)
         assert check_semigroup_triple_morphism(t, wt, mu).ok
 
     def test_beta_mismatch_fails_with_witness(self):
@@ -204,14 +206,13 @@ class TestEmbedding:
     def test_wreath_triple_embeds_as_identity(self):
         m = regular_automaton(Z2)
         w = wreath_product(m.gamma, m.states, m.next, m.gamma)
-        phi = embed_into_wreath(wreath_triple(w), w)
+        phi = embed_into_wreath(wreath_triple(w), m, m)
         assert phi == tuple(range(w.table.order))
 
     def test_serial_triple_embeds_injectively(self):
         m = regular_automaton(Z2)
-        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
         t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
-        phi = embed_into_wreath(t, w)
+        phi = embed_into_wreath(t, m, m)
         assert len(set(phi)) == 2
 
     def test_order_two_image_inside_order_eight_wreath(self):
@@ -221,7 +222,7 @@ class TestEmbedding:
         w = wreath_product(m.gamma, m.states, m.next, m.gamma)
         t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 0)), beta=(0, 0))
         assert check_semigroup_triple(t, m, m).ok
-        phi = embed_into_wreath(t, w)
+        phi = embed_into_wreath(t, m, m)
         assert w.table.order == 8
         assert len(set(phi)) == 2
         # image is closed: a subsemigroup of order two
@@ -230,29 +231,73 @@ class TestEmbedding:
             for j in image:
                 assert w.table.product[i][j] in image
 
-    def test_misplaced_wreath_element_raises_verification_error(self):
-        m = regular_automaton(Z2)
-        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
-        swapped = (w.elements[1], w.elements[0]) + w.elements[2:]
-        t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
-        with pytest.raises(VerificationError, match="diagram-compatible images"):
-            embed_into_wreath(t, dataclasses.replace(w, elements=swapped))
-
-    def test_repeated_wreath_element_raises_verification_error(self):
-        m = regular_automaton(Z2)
-        w = wreath_product(m.gamma, m.states, m.next, m.gamma)
-        repeated = (w.elements[1],) + w.elements[1:]
-        t = CascadeTripleSemigroup(Z2, alpha=((0, 1), (0, 1)), beta=(0, 1))
-        with pytest.raises(VerificationError, match="not pairwise distinct"):
-            embed_into_wreath(t, dataclasses.replace(w, elements=repeated))
-
     def test_invalid_triple_raises_verification_error(self):
+        # the oracle raises; the embedding returns the triple's failing report
         m = regular_automaton(Z2)
         w = wreath_product(m.gamma, m.states, m.next, m.gamma)
         bad = CascadeTripleSemigroup(Z2, alpha=((0, 0), (0, 1)), beta=(1, 1))
-        assert not check_semigroup_triple(bad, m, m).ok
+        report = check_semigroup_triple(bad, m, m)
+        assert not report.ok
+        assert embed_into_wreath(bad, m, m) == report
         with pytest.raises(VerificationError):
-            embed_into_wreath(bad, w)
+            embed_oracle(bad, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sub_triples_embed_as_the_oracle_says(self, data):
+        m1, m2, w, t = _draw_sub_triple(data)
+        assert embed_into_wreath(t, m1, m2) == embed_oracle(t, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_invalid_triples_return_the_triple_report(self, data):
+        m1, m2, w, sub = _draw_sub_triple(data)
+        gamma = sub.gamma
+        cells = st.lists(st.integers(0, m1.gamma.order - 1),
+                         min_size=gamma.order, max_size=gamma.order)
+        t = CascadeTripleSemigroup(
+            gamma,
+            alpha=tuple(tuple(data.draw(cells)) for _ in range(m2.states.size)),
+            beta=tuple(data.draw(st.lists(st.integers(0, m2.gamma.order - 1),
+                                          min_size=gamma.order, max_size=gamma.order))))
+        report = check_semigroup_triple(t, m1, m2)
+        assume(not report.ok)
+        assert embed_into_wreath(t, m1, m2) == report
+        with pytest.raises(VerificationError):
+            embed_oracle(t, w)
+
+
+@functools.cache
+def _wreath_contexts() -> tuple:
+    """(m1, m2, wreath product, wreath triple) for the regular automata of
+    every pair of semigroups of order at most two."""
+    catalogue = semigroups_up_to_iso(1) + semigroups_up_to_iso(2)
+    contexts = []
+    for g1, g2 in itertools.product(catalogue, repeat=2):
+        m1, m2 = regular_automaton(g1), regular_automaton(g2)
+        w = wreath_product(m1.gamma, m2.states, m2.next, m2.gamma)
+        contexts.append((m1, m2, w, wreath_triple(w)))
+    return tuple(contexts)
+
+
+def _draw_sub_triple(data) -> tuple:
+    """(m1, m2, wreath product, a sub-triple generated by 1-3 random
+    wreath elements), over a random context of ``_wreath_contexts``."""
+    m1, m2, w, wt = data.draw(st.sampled_from(_wreath_contexts()))
+    seeds = data.draw(st.lists(st.integers(0, w.table.order - 1), min_size=1, max_size=3))
+    return m1, m2, w, _sub_triple(w, wt, seeds)
+
+
+def _sub_triple(w, wt, seeds) -> CascadeTripleSemigroup:
+    """The sub-triple of the wreath triple on the subsemigroup that the
+    wreath elements ``seeds`` generate: valid, as every sub-triple is."""
+    product = w.table.product  # built anew on each access
+    closure = close_generators(seeds, lambda i, j: product[i][j], cap=w.table.order)
+    elems = [closure.elements[i] for i in range(closure.table.order)]
+    return CascadeTripleSemigroup(
+        closure.table,
+        alpha=tuple(tuple(row[e] for e in elems) for row in wt.alpha),
+        beta=tuple(wt.beta[e] for e in elems))
 
 
 class TestSemigroupCascade:
@@ -269,15 +314,7 @@ class TestSemigroupCascade:
             wt = wreath_triple(w)
             # sub-triples generated by random wreath elements are valid
             for _ in range(5):
-                seeds = [rng.randrange(w.table.order) for _ in range(2)]
-                closure = close_generators(
-                    seeds, lambda i, j: w.table.product[i][j], cap=w.table.order)
-                elems = [closure.elements[i] for i in range(closure.table.order)]
-                t = CascadeTripleSemigroup(
-                    closure.table,
-                    alpha=tuple(tuple(wt.alpha[a2][e] for e in elems)
-                                for a2 in range(m2.states.size)),
-                    beta=tuple(wt.beta[e] for e in elems))
+                t = _sub_triple(w, wt, [rng.randrange(w.table.order) for _ in range(2)])
                 assert check_semigroup_triple(t, m1, m2).ok
                 c = cascade_semigroup(m1, m2, t)
                 assert check_first_axioms(c).ok

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autalg import (
+    CascadeTripleSemigroup,
     FiniteSet,
     GeneratorHom,
     MealyElement,
     MealyMachine,
     PureAutomatonFirst,
     PureAutomatonSecond,
+    SemigroupAutomatonFirst,
     SemigroupTable,
     VerificationError,
     Word,
+    close_generators,
     element_apply,
     odometer,
     semigroupify,
@@ -404,6 +408,42 @@ class TestCheckCommand:
                      "--dot", str(target)]) == 0
         assert target.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("name, cls", [("serial_reset.json", "SerialConnection"),
+                                           ("cascade_triple_pure.json", "CascadeTriplePure"),
+                                           ("hom_mu_parity.json", "GeneratorHom")])
+    def test_dot_without_a_renderer_is_an_input_error(self, tmp_path, capsys, name, cls):
+        target = tmp_path / "x.dot"
+        assert main(["check", str(FIXTURES / name), "--dot", str(target)]) == 2
+        assert capsys.readouterr() == ("", f"error: no DOT renderer for {cls}\n")
+        assert not target.exists()
+
+
+def _z3_wreath_z2_embedding(tmp_path, k: int) -> tuple[list[str], list[int]]:
+    """Files for embedding a sub-cascade into Z3 wr Z2 on k points, Z2
+    swapping the points 2i and 2i + 1, and the ranks the embedding must
+    print: Gamma is generated by two wreath elements (bar, s), stored as
+    flat tuples bar + (s,), whose rank reads bar in base 3, then s."""
+    z2 = SemigroupTable(2, ((0, 1), (1, 0)))
+    z3 = SemigroupTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+    def multiply(e, f):  # (bar, s)(bar', s') == (a |-> bar(a) bar'(a.s), s s')
+        return tuple((e[a] + f[a ^ e[k]]) % 3 for a in range(k)) + (e[k] ^ f[k],)
+    closure = close_generators([(1,) + (0,) * (k - 1) + (1,), (0, 0, 2, 1) + (0,) * (k - 3)],
+                               multiply)
+    elements = [closure.elements[i] for i in range(closure.table.order)]
+    triple = CascadeTripleSemigroup(closure.table,
+                                    alpha=tuple(tuple(e[a] for e in elements) for a in range(k)),
+                                    beta=tuple(e[k] for e in elements))
+    m1 = SemigroupAutomatonFirst(FiniteSet(3), z3, FiniteSet(3), z3.product, z3.product)
+    m2 = SemigroupAutomatonFirst(FiniteSet(k), z2, FiniteSet(1),
+                                 tuple((a, a ^ 1) for a in range(k)), ((0, 0),) * k)
+    paths = []
+    for name, obj in (("triple", triple), ("m1", m1), ("m2", m2)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        save(paths[-1], obj)
+    ranks = [int("".join(map(str, e[:k])), 3) * 2 + e[k] for e in elements]
+    return paths, ranks
+
 
 class TestConstructCommand:
     def test_semigroupify_writes_a_passing_file(self, tmp_path):
@@ -492,13 +532,68 @@ class TestConstructCommand:
             "as (0, 0) vs (0, 1) from state 0\n")
         assert not (tmp_path / "never.json").exists()
 
-    def test_embed(self, capsys):
-        code = main(["construct", "embed",
-                     str(FIXTURES / "cascade_triple_semigroup.json"),
-                     str(FIXTURES / "first_semigroup_z2.json"),
-                     str(FIXTURES / "first_semigroup_z2.json")])
+    EMBED_INPUTS = [str(FIXTURES / "cascade_triple_semigroup.json"),
+                    str(FIXTURES / "first_semigroup_z2.json"),
+                    str(FIXTURES / "first_semigroup_z2.json")]
+
+    def test_embed(self, tmp_path, capsys):
+        code = main(["construct", "embed", *self.EMBED_INPUTS])
         assert code == 0
-        assert "embedding" in capsys.readouterr().out
+        assert capsys.readouterr() == ("embedding 0 7\n", "")
+        out = tmp_path / "phi.json"
+        assert main(["construct", "embed", *self.EMBED_INPUTS, "-o", str(out)]) == 0
+        assert capsys.readouterr() == (f"embedding 0 7\nwrote {out}\n", "")
+        assert out.read_bytes() == (b'{\n  "mapping": [\n    0,\n    7\n  ],\n'
+                                    b'  "type": "embedding"\n}\n')
+
+    def test_embed_past_the_cap_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "phi.json"
+        assert main(["construct", "embed", *self.EMBED_INPUTS, "--cap", "3",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: wreath product order 8 exceeds cap 3\n")
+        assert not out.exists()
+
+    def test_embed_over_a_non_action_is_an_input_error(self, tmp_path, capsys):
+        # the triple is valid, but m2's table is no action of Z2, so
+        # there is no wreath product to embed into
+        z2 = {"order": 2, "product": [[0, 1], [1, 0]]}
+        objs = {"triple": {"type": "cascade-triple", "gamma": z2,
+                           "alpha": [[0, 1], [0, 1]], "beta": [0, 0]},
+                "m1": {"type": "first-semigroup", "states": {"size": 2},
+                       "outputs": {"size": 2}, "semigroup": z2,
+                       "next": [[0, 1], [1, 0]], "out": [[0, 1], [1, 0]]},
+                "m2": {"type": "first-semigroup", "states": {"size": 2},
+                       "outputs": {"size": 1}, "semigroup": z2,
+                       "next": [[0, 0], [1, 0]], "out": [[0, 0], [0, 0]]}}
+        paths = []
+        for name, obj in objs.items():
+            paths.append(str(tmp_path / f"{name}.json"))
+            Path(paths[-1]).write_text(json.dumps(obj))
+        assert main(["check", paths[0], "--components", *paths[1:]]) == 0
+        assert capsys.readouterr().out == "pass\n"
+        assert main(["construct", "embed", *paths]) == 2
+        assert capsys.readouterr() == (
+            "", "error: not an action: a.(s s') != (a.s).s' at (1, 1, 1)\n")
+
+    def test_embed_builds_no_wreath_table(self, tmp_path, capsys):
+        # Z3 wr Z2 on 8 points has order 13,122: its table alone is 1.4 GB
+        paths, ranks = _z3_wreath_z2_embedding(tmp_path, 8)
+        tracemalloc.start()
+        try:
+            code = main(["construct", "embed", *paths])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "embedding " + " ".join(map(str, ranks)) + "\n"
+        assert peak < 50 * 2 ** 20
+
+    def test_dot_without_a_renderer_writes_no_file(self, tmp_path, capsys):
+        out, target = tmp_path / "y.json", tmp_path / "x.dot"
+        assert main(["construct", "serial", str(FIXTURES / "second_semigroup_parity.json"),
+                     "-o", str(out), "--dot", str(target)]) == 2
+        assert capsys.readouterr() == ("", "error: no DOT renderer for SerialConnection\n")
+        assert not out.exists() and not target.exists()
 
     def test_wrong_arity_is_a_usage_error(self):
         assert main(["construct", "semigroupify"]) == 2
@@ -599,6 +694,17 @@ class TestGroupCommand:
         path = str(FIXTURES / "mealy_odometer.json")
         assert main(["group", "equal", path, path, "--depth", "5"]) == 0
         assert "agree" in capsys.readouterr().out
+
+    def test_equal_elements_agree_at_any_depth(self, capsys):
+        # the exact verdict answers the cross-check: no 2**64 words are read
+        path = str(FIXTURES / "mealy_odometer.json")
+        assert main(["group", "equal", path, path, "--depth", "64"]) == 0
+        assert capsys.readouterr().out == "true\nwords up to length 64 agree\n"
+
+    def test_unequal_elements_keep_the_enumeration(self, capsys):
+        assert main(["group", "equal", str(FIXTURES / "mealy_odometer.json"),
+                     str(FIXTURES / "mealy_identity.json"), "--depth", "3"]) == 1
+        assert capsys.readouterr().out == "false\nwords up to length 3 disagree\n"
 
     def test_depth_zero_is_off_and_a_negative_depth_an_input_error(self, capsys):
         path = str(FIXTURES / "mealy_odometer.json")
