@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 from autalg import (
+    CascadeTripleSemigroup,
     FiniteSet,
     GeneratorHom,
     PureAutomatonFirst,
@@ -28,6 +29,7 @@ from autalg import (
     odometer,
     semiautomaton,
     semigroupify,
+    wreath_automaton,
 )
 from autalg.mealy import MealyMachine
 from autalg.schema import dump_object, save
@@ -88,6 +90,7 @@ def main(out_dir: Path = FIXTURES) -> None:
          PureAutomatonFirst(FiniteSet(1), FiniteSet(1), FiniteSet(1), ((0,),), ((0,),)))
     save(out_dir / "first_semigroup_swap.json", semigroupify(swap_automaton()))
     save(out_dir / "first_semigroup_z2.json", regular_z2())
+    save(out_dir / "wreath_z2_z2.json", wreath_automaton(regular_z2(), regular_z2())[0])
     save(out_dir / "second_pure_parity.json", parity_second())
     odo = odometer().machine
     save(out_dir / "second_pure_odometer.json",
@@ -122,9 +125,8 @@ def main(out_dir: Path = FIXTURES) -> None:
                             ((1,), (0,)), ((0,), (1,)))
     save(out_dir / "first_pure_keepswap.json", m1)
     save(out_dir / "first_pure_tick.json", m2)
-    write_raw("cascade_triple_semigroup.json",
-              {"type": "cascade-triple", "gamma": dump_object_gamma(),
-               "alpha": [[0, 1], [0, 1]], "beta": [0, 1]})
+    save(out_dir / "cascade_triple_semigroup.json",
+         CascadeTripleSemigroup(Z2, ((0, 1), (0, 1)), (0, 1)))
 
     # law violations: flip one entry of a passing file
     good = dump_object(semigroupify(swap_automaton()))
@@ -143,11 +145,6 @@ def main(out_dir: Path = FIXTURES) -> None:
     write_raw("first_pure_bad_range.json", bad)
 
     print(f"wrote fixtures to {out_dir}")
-
-
-def dump_object_gamma() -> dict:
-    from autalg.schema import dump_semigroup_table
-    return dump_semigroup_table(Z2)
 
 
 if __name__ == "__main__":

@@ -90,6 +90,7 @@ from .mealy import (
     element_equal,
     element_invert,
     element_order_bounded,
+    first_difference,
     grigorchuk_elements,
     grigorchuk_machine,
     identity_element,

@@ -16,7 +16,6 @@ that needs no wreath table (``embed_into_wreath``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -276,13 +275,14 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
     # rank(bar, s) == bar @ weights + s, as in WreathProduct.index
     weights = g2.order * g1.order ** np.arange(a2.size - 1, -1, -1, dtype=np.intp)
     p1, p2 = g1.array, g2.array
-    act = np.array(action, dtype=np.intp)
-    product = np.empty((order, order), dtype=np.intp)
-    for i, (bar, s) in enumerate(itertools.product(bars, range(g2.order))):
-        # row of (bar, s): (f, s') |-> (a |-> bar(a) f(a . s), s s')
-        ranks = p1[bar, bars[:, act[:, s]]] @ weights
-        product[i] = (ranks[:, None] + p2[s]).ravel()
-    table = SemigroupTable(order, product)
+    product = np.empty((len(bars), g2.order, len(bars), g2.order), dtype=np.intp)
+    for s in range(g2.order):
+        # rows of (bar, s) for every bar: (f, s') |-> (a |-> bar(a) f(a . s), s s'),
+        # the rank of the function part summed one coordinate a at a time
+        ranks = sum(p1[np.ix_(bars[:, a], bars[:, action[a][s]])] * weights[a]
+                    for a in range(a2.size))
+        product[:, s] = ranks[:, :, None] + p2[s]
+    table = SemigroupTable(order, product.reshape(order, order))
     return WreathProduct(g1, a2, action, g2, table, elements)
 
 

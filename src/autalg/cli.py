@@ -31,7 +31,7 @@ from .cascade import (
     wreath_automaton,
     wreath_product,  # noqa: F401  re-exported: the bench tracer wraps it here
 )
-from .core import CapExceeded, CheckReport, DEFAULT_CAP, VerificationError, Word, all_words
+from .core import CapExceeded, CheckReport, DEFAULT_CAP, VerificationError, Word
 from .first_type import (
     PureAutomatonFirst,
     SemigroupAutomatonFirst,
@@ -47,6 +47,7 @@ from .mealy import (
     element_equal,
     element_invert,
     element_order_bounded,
+    first_difference,
     is_invertible,
     minimize_element,
 )
@@ -139,6 +140,8 @@ def _component_type(triple) -> tuple:
 
 def cmd_check(args) -> CommandResult:
     obj = schema.load(args.file)
+    if args.components and not isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
+        raise ValueError(f"{args.file}: --components takes a cascade-triple")
     if args.dot is not None:
         Path(args.dot).write_text(dot_mod.to_dot(obj))
     report = CheckReport.passed()
@@ -263,9 +266,9 @@ def cmd_group(args) -> CommandResult:
         verdict = element_equal(e1, e2)
         lines = ["true" if verdict else "false"]
         if args.depth:
-            # the verdict is exact, so only unequal elements are enumerated
-            agree = verdict or all(element_apply(e1, w) == element_apply(e2, w)
-                                   for w in all_words(e1.machine.alphabet, args.depth))
+            # unequal elements agree on the words up to length d iff the
+            # shortest word they map differently is longer than d
+            agree = verdict or args.depth < first_difference(e1, e2)
             lines.append(f"words up to length {args.depth} "
                          + ("agree" if agree else "disagree"))
         message = "\n".join(lines)
@@ -336,6 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 _ARITY = {"semigroupify": 1, "cascade": 3, "wreath": 2, "serial": 1,
           "derive-second": 1, "quotient": 3, "embed": 3,
           "compose": 2, "invert": 1, "equal": 2, "order": 1, "minimize": 1}
+# the output options a verb has no use for: given, they are an error
+_UNUSED = {**dict.fromkeys(("semigroupify", "cascade", "serial", "derive-second", "quotient"),
+                           ("triple_out",)),
+           "embed": ("triple_out", "dot"),
+           **dict.fromkeys(("apply", "equal", "order"), ("output", "dot"))}
 
 
 def main(argv=None) -> int:
@@ -349,6 +357,10 @@ def main(argv=None) -> int:
         print(f"error: {args.verb} takes {arity} input file(s), got {len(args.inputs)}",
               file=sys.stderr)
         return 2
+    for option in _UNUSED.get(getattr(args, "verb", None), ()):
+        if getattr(args, option) is not None:
+            print(f"error: {args.verb} takes no --{option.replace('_', '-')}", file=sys.stderr)
+            return 2
     for option, low in (("max_len", 0), ("depth", 0), ("max_power", 1), ("max_states", 1)):
         if getattr(args, option, low) < low:
             print(f"error: --{option.replace('_', '-')} must be at least {low}", file=sys.stderr)

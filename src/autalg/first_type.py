@@ -108,17 +108,18 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     ``multiply_pair``.
 
     The closure's table is exactly the pair product table.  Only its
-    generator columns are checked: for every state a and generator g,
-    ``nxt[a][T[:, g]] == nxt[nxt[a]][g]`` and
-    ``out[a][T[:, g]] == out[nxt[a]][g]`` say that element T[x, g] has
-    the state and output columns of the pair product of x and g, and
-    distinct elements have distinct columns.  The rest follows:
-    ``close_generators`` fills T[x, j] = T[T[x, p(j)], g(j)] along its
+    generator columns are checked, for all states in one comparison:
+    for every state a and generator g, ``nxt[a][T[:, g]] ==
+    nxt[nxt[a]][g]`` and ``out[a][T[:, g]] == out[nxt[a]][g]`` say that
+    element T[x, g] has the state and output columns of the pair product
+    of x and g, and distinct elements have distinct columns.  The rest
+    follows: ``close_generators`` fills T[x, j] = T[T[x, p(j)], g(j)] along its
     tree, g(j) being the generator of j's last letter, and j was found
     as T[p(j), g(j)], so j is the pair product p(j) g(j).  By induction
     along the tree and associativity of the pair product,
     T[x, j] == (x p(j)) g(j) == x (p(j) g(j)) == x j.
-    VerificationError is raised otherwise.
+    VerificationError, naming the lowest failing state, is raised
+    otherwise.
     """
     size = m.states.size
     gens = [sigma + phi for sigma, phi in zip(zip(*m.next), zip(*m.out))]
@@ -127,12 +128,11 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     nxt, out = flat[:size], flat[size:]
     cols = list(closure.letter_to_index)
     product = closure.table.array[:, cols]
-    for a in range(m.states.size):
-        moved = nxt[a]
-        if not (np.array_equal(moved[product], nxt[:, cols][moved])
-                and np.array_equal(out[a][product], out[:, cols][moved])):
-            raise VerificationError(
-                f"closure table differs from the pair product at state {a}")
+    wrong = ((nxt[:, product] != nxt[:, cols][nxt])
+             | (out[:, product] != out[:, cols][nxt])).any(axis=(1, 2))
+    if wrong.any():
+        raise VerificationError(
+            f"closure table differs from the pair product at state {wrong.argmax()}")
     return SemigroupAutomatonFirst(m.states, closure.table, m.outputs,
                                    nxt.tolist(), out.tolist())
 

@@ -218,6 +218,36 @@ def element_equal(e1: MealyElement, e2: MealyElement) -> bool:
     return minimize_element(e1) == minimize_element(e2)
 
 
+def first_difference(e1: MealyElement, e2: MealyElement) -> int | None:
+    """The length of the shortest word the two mappings send to different
+    words, or None when they agree on every word.
+
+    The words up to that length agree, and a shortest differing word
+    first differs at its last letter.  So one breadth-first search over
+    the state pairs reachable from the initial pair decides it: the
+    length is one more than the depth of the first pair whose letter maps
+    differ.  That is O(|S1| |S2| |X|) work, whatever the length.
+    """
+    if e1.machine.alphabet != e2.machine.alphabet:
+        raise ValueError("alphabet mismatch")
+    m1, m2 = e1.machine, e2.machine
+    level = [(e1.initial, e2.initial)]
+    seen = set(level)
+    length = 1
+    while level:
+        if any(m1.out[q1] != m2.out[q2] for q1, q2 in level):
+            return length
+        following = []
+        for q1, q2 in level:
+            for pair in zip(m1.next[q1], m2.next[q2]):
+                if pair not in seen:
+                    seen.add(pair)
+                    following.append(pair)
+        level = following
+        length += 1
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class OrderResult:
     """Outcome of a bounded order search: the order if one was found

@@ -16,19 +16,26 @@ name two classes each, and a key picks between them:
 
 Tables are the bulk of every file, so both directions have a fast path:
 
-* the writer ``_encode`` writes a list of plain ints, or a list of
-  non-empty rows of them, by looking each cell up in ``_digits``, a
-  table of decimal strings, and joining each row once;
+* the writer writes a semigroup ``product`` from ``SemigroupTable.array``,
+  which ``dump_semigroup_table`` passes on as it is: one gather turns the
+  array into decimal strings, from a table sized to its largest entry,
+  and those are joined once per row.  No cell becomes a Python int, and
+  ``dump_object`` alone turns the array into lists, for callers that
+  edit the data;
+* the writer writes every other list of plain ints, or list of non-empty
+  rows of them (``next``, ``out``, ``names``), by looking each cell up in
+  ``_digits``, a table of the decimal strings of 0..4095 that makes any
+  other int's on lookup, and joining each row once;
 * the reader turns a semigroup ``product`` into an array with one
   ``np.array`` call, whose dtype and shape reject floats, ``None``,
   strings, ints beyond int64 and ragged rows.
 
-Both must keep bools out, since ``True == 1`` and ``hash(True) ==
-hash(1)``: the writer scans the cell types before any lookup, and the
-reader type-tests the cells that are at most 1, the only ones where
-``np.array`` can have turned a bool into an int.  A table that leaves a
-fast path is handled by the plain code, so output bytes and error
-messages do not depend on which path ran.
+The list paths must keep bools out, since ``True == 1`` and
+``hash(True) == hash(1)``: the list writer scans the cell types before
+any lookup, and the reader type-tests the cells that are at most 1, the
+only ones where ``np.array`` can have turned a bool into an int.  A
+table that leaves a fast path is handled by the plain code, so output
+bytes and error messages do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -130,9 +137,12 @@ def _rows(table) -> list:
 
 
 def dump_semigroup_table(t: SemigroupTable) -> dict:
+    """The table's fields, its product as the table's own read-only array:
+    ``dumps`` writes it from there, and ``dump_object`` turns it into
+    lists."""
     return {
         "order": t.order,
-        "product": t.array.tolist(),
+        "product": t.array,
         "generators": list(t.generators) if t.generators is not None else None,
         "names": _rows(t.names) if t.names is not None else None,
     }
@@ -172,7 +182,20 @@ def _load_class(cls, data, where: str):
 
 
 def dump_object(obj) -> dict:
-    """Serialize any supported object, tagged with its type."""
+    """Serialize any supported object, tagged with its type, as plain JSON
+    data."""
+    return _lists(_dump(obj))
+
+
+def _lists(data):
+    """``data`` with each array in it, a product, as a list of rows."""
+    if type(data) is dict:
+        return {key: _lists(value) for key, value in data.items()}
+    return data.tolist() if type(data) is np.ndarray else data
+
+
+def _dump(obj) -> dict:
+    """``dump_object``'s data, each product still an array."""
     row = _BY_CLASS.get(type(obj))
     if row is None:
         raise TypeError(f"no schema for {type(obj).__name__}")
@@ -210,13 +233,13 @@ _INT_LIST = _keyed(_int_list, list)
 _INT_TABLE = _keyed(_int_table, _rows)
 _FINITE_SET = _keyed(load_finite_set, dump_finite_set)
 _SEMIGROUP = _keyed(load_semigroup_table, dump_semigroup_table)
-_OBJECT = _keyed(load_object, dump_object)
+_OBJECT = _keyed(load_object, _dump)
 # a check on a field loaded earlier, which writes nothing
 _MUST_BE_FIRST_SEMIGROUP = (_require_first_semigroup, lambda value, key: {})
 _TRIPLE_INPUTS = (_load_triple_inputs, _FINITE_SET[1])
 # a machine stored in the same JSON object as the element that pins it
 _MEALY_MACHINE = (lambda data, key, where, loaded: _load_class(MealyMachine, data, where),
-                  lambda value, key: dump_object(value))
+                  lambda value, key: _dump(value))
 
 _TABLES = (("next", _INT_TABLE), ("out", _INT_TABLE))
 _PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_SET), *_TABLES)
@@ -250,8 +273,9 @@ _ATTRIBUTE = {"semigroup": "gamma"}
 
 
 class _Digits(dict):
-    """Decimal strings of ints: stored for 0..4095, the element indices
-    tables hold; made on lookup for any other int."""
+    """Decimal strings of ints: stored for 0..4095, the states, letters
+    and generator positions the list paths write; made on lookup for any
+    other int."""
 
     def __missing__(self, key: int) -> str:
         return str(key)
@@ -263,12 +287,15 @@ _digits = _Digits(zip(range(4096), map(str, range(4096)))).__getitem__
 def _encode(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
     it, nested ``pad`` deep.  With an indent ``json.dumps`` runs its
-    pure-Python encoder; this writer joins each list of plain ints, and
-    each list of non-empty rows of plain ints, at C speed, and hands
-    everything else it does not write itself (other scalars, empty
-    containers, dicts with non-str keys) to ``json.dumps``."""
+    pure-Python encoder; this writer joins each product array (as its
+    list of rows), each list of plain ints, and each list of non-empty
+    rows of plain ints, at C speed, and hands everything else it does not
+    write itself (other scalars, empty containers, dicts with non-str
+    keys) to ``json.dumps``."""
     if type(value) is int:
         return str(value)
+    if type(value) is np.ndarray:
+        return _encode_product(value, pad)
     if type(value) in (list, tuple) and value:
         inner = pad + "  "
         # the type scans come before any lookup: _digits(True) would be "1"
@@ -277,10 +304,7 @@ def _encode(value, pad: str) -> str:
             items = map(_digits, value)
         elif (kinds <= {list, tuple} and all(value)
               and set(map(type, chain.from_iterable(value))) == {int}):
-            deeper = inner + "  "
-            rows = map(f",\n{deeper}".join, map(map, repeat(_digits), value))
-            return (f"[\n{inner}[\n{deeper}" + f"\n{inner}],\n{inner}[\n{deeper}".join(rows)
-                    + f"\n{inner}]\n{pad}]")
+            return _encode_rows(map(map, repeat(_digits), value), pad)
         else:
             items = (_encode(v, inner) for v in value)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
@@ -292,11 +316,28 @@ def _encode(value, pad: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
+def _encode_rows(rows, pad: str) -> str:
+    """Non-empty rows of decimal strings as ``_encode`` writes a list of
+    rows of ints, nested ``pad`` deep: one join per row, one for all."""
+    inner, deeper = pad + "  ", pad + "    "
+    return (f"[\n{inner}[\n{deeper}"
+            + f"\n{inner}],\n{inner}[\n{deeper}".join(map(f",\n{deeper}".join, rows))
+            + f"\n{inner}]\n{pad}]")
+
+
+def _encode_product(array: np.ndarray, pad: str) -> str:
+    """A product, an n x n array of element indices with n >= 1, as
+    ``_encode`` writes its list of rows: one gather into the decimal
+    strings of 0..max, with no cell turned into a Python int."""
+    digits = np.array([*map(str, range(int(array.max()) + 1))], dtype=object)
+    return _encode_rows(digits[array].tolist(), pad)
+
+
 def dumps(obj) -> str:
     """The object's JSON text: sorted keys, two-space indent, a final
     newline; byte for byte what ``json.dumps(..., indent=2,
     sort_keys=True)`` gives."""
-    return _encode(dump_object(obj), "") + "\n"
+    return _encode(_dump(obj), "") + "\n"
 
 
 def save(path: str | Path, obj) -> None:

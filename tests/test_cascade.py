@@ -170,6 +170,18 @@ class TestWreathSemigroup:
                     checked += 1
         assert checked > 100
 
+    def test_table_matches_the_defining_formula_for_three_second_elements(self):
+        # the fill takes one step per Gamma2 element: Z3 rotating 3 points,
+        # and every order-3 semigroup by each of its actions on 2 points
+        rotate = tuple(tuple((a + s) % 3 for s in range(3)) for a in range(3))
+        cases = [(Z2, 3, rotate, Z3)] + [
+            (Z2, 2, action, g2) for g2 in semigroups_up_to_iso(3)
+            for action in all_actions(g2, 2)]
+        for g1, points, action, g2 in cases:
+            w = wreath_product(g1, FiniteSet(points), action, g2)
+            assert w.table.product == wreath_table_oracle(g1, points, action, g2)
+        assert len(cases) > 20
+
     def test_index_is_the_enumeration_rank(self):
         w = wreath_product(Z2, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3)
         for i, e in enumerate(w.elements):

@@ -17,6 +17,7 @@ from autalg import (
     semigroupify,
     to_universal,
 )
+from autalg.first_type import multiply_flat
 from autalg.schema import dumps
 from helpers import random_pure_first, semigroupify_oracle
 
@@ -141,6 +142,22 @@ class TestSemigroupify:
         monkeypatch.setattr(first_type, "multiply_flat", wrong_product)
         with pytest.raises(VerificationError, match="pair product"):
             semigroupify(SWAP)
+
+    def test_lowest_failing_state_is_named(self, monkeypatch):
+        # the pair product, but with the outputs of states 2 and 3 read off
+        # the right factor alone: associative while sigma keeps {0, 1}, and
+        # wrong from state 2 on
+        import autalg.first_type as first_type
+
+        def wrong_from_state_2(a, e, g):
+            return multiply_flat(a, e, g)[:a + 2] + g[a + 2:]
+
+        m = PureAutomatonFirst(FiniteSet(4), FiniteSet(1), FiniteSet(2),
+                               next=((1,), (0,), (0,), (0,)), out=((0,), (1,), (1,), (1,)))
+        monkeypatch.setattr(first_type, "multiply_flat", wrong_from_state_2)
+        with pytest.raises(VerificationError) as info:
+            semigroupify(m)
+        assert str(info.value) == "closure table differs from the pair product at state 2"
 
     @settings(max_examples=60)
     @given(st.data())

@@ -15,6 +15,7 @@ from autalg import (
     element_equal,
     element_invert,
     element_order_bounded,
+    first_difference,
     grigorchuk_elements,
     identity_element,
     is_invertible,
@@ -172,6 +173,32 @@ class TestElementEqual:
             left = element_compose(element_compose(es[0], es[1]), es[2])
             right = element_compose(es[0], element_compose(es[1], es[2]))
             assert element_equal(left, right)
+
+
+class TestFirstDifference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(elements(k, 4), elements(k, 4))),
+           st.integers(0, 7))
+    def test_matches_the_word_enumeration(self, pair, depth):
+        e1, e2 = pair
+        difference = first_difference(e1, e2)
+        assert (difference is None) == element_equal(e1, e2)
+        agree = difference is None or depth < difference
+        assert agree == words_agree_to_depth(e1, e2, depth)
+        if difference is not None and difference <= 7:  # the length is the least one
+            assert words_agree_to_depth(e1, e2, difference - 1)
+            assert not words_agree_to_depth(e1, e2, difference)
+
+    def test_odometer_power_differs_from_the_identity_at_its_exponent(self):
+        # e^(2^k) adds 2^k: it fixes every word of length k or less
+        power = odometer()
+        for k in range(1, 9):
+            power = minimize_element(element_compose(power, power))
+            assert first_difference(power, identity_element(2)) == k + 1
+
+    def test_alphabet_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            first_difference(odometer(), identity_element(3))
 
 
 class TestMinimize:

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from autalg import (
     Word,
     close_generators,
     element_apply,
+    element_compose,
+    minimize_element,
     odometer,
     semigroupify,
     wreath_product,
@@ -60,6 +63,7 @@ CHECK_EXPECTATIONS = {
     "mealy_noninvertible.json": 0,
     "cascade_triple_pure.json": 0,
     "cascade_triple_semigroup.json": 0,
+    "wreath_z2_z2.json": 0,
     "first_semigroup_corrupt.json": 1,
     "second_semigroup_corrupt.json": 1,
     "serial_corrupt.json": 1,
@@ -310,6 +314,31 @@ class TestTableCodec:
     def test_encode_edge_cases_match_json_dumps(self, value, pad):
         expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
         assert _encode(value, pad) == expected
+
+    @pytest.mark.parametrize("rows", [
+        [[0]], [[4096]], [[0, 1, 2, 3, 4]], [[5], [0], [4095], [4096], [1]],  # 1x1, 1xn, nx1
+        [[4096, 4097], [10**6, 0]], [[7, 0, 12], [3, 9, 1]], [[0, 0], [0, 0]],
+    ])
+    @pytest.mark.parametrize("pad", ["", "    "])
+    def test_array_writer_matches_json_dumps(self, rows, pad):
+        expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
+        assert _encode(np.array(rows, dtype=np.intp), pad) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda width: st.lists(
+               st.lists(st.integers(0, 10**5), min_size=width, max_size=width),
+               min_size=1, max_size=6)),
+           st.sampled_from(["", "  ", "    "]))
+    def test_random_arrays_match_json_dumps(self, rows, pad):
+        expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
+        assert _encode(np.array(rows, dtype=np.intp), pad) == expected
+
+    @pytest.mark.parametrize("name", [n for n, code in CHECK_EXPECTATIONS.items()
+                                      if code != 2])
+    def test_dump_object_is_plain_json(self, name):
+        # the data JSON accepts, written as the array path writes it
+        obj = load(FIXTURES / name)
+        assert json.dumps(dump_object(obj), indent=2, sort_keys=True) + "\n" == dumps(obj)
 
     @pytest.mark.parametrize("product, message", [
         ([[0, 1], [1, True]], "file.semigroup.product[1][1]: expected an integer, got True"),
@@ -701,10 +730,23 @@ class TestGroupCommand:
         assert main(["group", "equal", path, path, "--depth", "64"]) == 0
         assert capsys.readouterr().out == "true\nwords up to length 64 agree\n"
 
-    def test_unequal_elements_keep_the_enumeration(self, capsys):
+    def test_unequal_elements_disagree_from_the_first_difference(self, capsys):
         assert main(["group", "equal", str(FIXTURES / "mealy_odometer.json"),
                      str(FIXTURES / "mealy_identity.json"), "--depth", "3"]) == 1
         assert capsys.readouterr().out == "false\nwords up to length 3 disagree\n"
+
+    def test_depth_sets_no_work_on_unequal_elements(self, tmp_path, capsys):
+        # the odometer to the 2^30 fixes every word of up to 30 letters:
+        # 2^29 words of length 29 are decided without reading one
+        power = odometer()
+        for _ in range(30):
+            power = minimize_element(element_compose(power, power))
+        path = tmp_path / "power.json"
+        save(path, power)
+        identity = str(FIXTURES / "mealy_identity.json")
+        for depth, verdict in (("29", "agree"), ("30", "agree"), ("31", "disagree")):
+            assert main(["group", "equal", str(path), identity, "--depth", depth]) == 1
+            assert capsys.readouterr().out == f"false\nwords up to length {depth} {verdict}\n"
 
     def test_depth_zero_is_off_and_a_negative_depth_an_input_error(self, capsys):
         path = str(FIXTURES / "mealy_odometer.json")
@@ -827,6 +869,46 @@ def test_wrong_component_type_is_an_input_error(capsys, argv, bad):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {FIXTURES / bad}: expected ")
+
+
+# an output option a verb has no use for, with inputs the verb accepts
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "embed", "cascade_triple_semigroup.json", "first_semigroup_z2.json",
+      "first_semigroup_z2.json", "--dot", "OUT"], "embed takes no --dot"),
+    *[(["construct", *inputs, "--triple-out", "OUT"], f"{inputs[0]} takes no --triple-out")
+      for inputs in (["semigroupify", "first_pure_swap.json"],
+                     ["cascade", "first_pure_keepswap.json", "first_pure_tick.json",
+                      "cascade_triple_pure.json"],
+                     ["serial", "second_semigroup_parity.json"],
+                     ["derive-second", "serial_reset.json"],
+                     ["quotient", "second_pure_parity.json", "hom_mu_parity.json",
+                      "hom_nu_parity.json"],
+                     ["embed", "cascade_triple_semigroup.json", "first_semigroup_z2.json",
+                      "first_semigroup_z2.json"])],
+    *[(["group", *inputs, option, "OUT"], f"{inputs[0]} takes no {name}")
+      for inputs in (["apply", "mealy_odometer.json", "01"],
+                     ["equal", "mealy_odometer.json", "mealy_identity.json"],
+                     ["order", "mealy_odometer.json"])
+      for option, name in (("-o", "--output"), ("--output", "--output"), ("--dot", "--dot"))],
+])
+def test_unused_option_is_a_usage_error(tmp_path, capsys, argv, message):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["first_semigroup_z2.json", "mealy_odometer.json",
+                                  "first_pure_swap.json", "hom_mu_parity.json"])
+def test_components_on_a_non_triple_is_a_usage_error(tmp_path, capsys, name):
+    z2 = str(FIXTURES / "first_semigroup_z2.json")
+    target = tmp_path / "x.dot"
+    assert main(["check", str(FIXTURES / name), "--components", z2, z2,
+                 "--dot", str(target)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {FIXTURES / name}: --components takes a cascade-triple\n")
+    assert not target.exists()
 
 
 def test_main_runs_repeatedly_in_one_process(capsys):
