@@ -50,6 +50,14 @@ def regular_z2() -> SemigroupAutomatonFirst:
                                    Z2.product, Z2.product)
 
 
+def labelled_automaton() -> PureAutomatonFirst:
+    """Labels that JSON text holds only as escapes: a Latin-1 letter, DEL
+    and an astral emoji."""
+    labels = FiniteSet(3, ("\u00e9", "\x7f", "\U0001f600"))
+    return PureAutomatonFirst(labels, FiniteSet(2), labels,
+                              ((1, 1), (2, 0), (0, 2)), ((0, 2), (1, 1), (2, 0)))
+
+
 def parity_second() -> PureAutomatonSecond:
     return PureAutomatonSecond(FiniteSet(2), FiniteSet(1), FiniteSet(1),
                                ((1,), (0,)), ((0,), (0,)))
@@ -90,6 +98,8 @@ def main(out_dir: Path = FIXTURES) -> None:
          PureAutomatonFirst(FiniteSet(1), FiniteSet(1), FiniteSet(1), ((0,),), ((0,),)))
     save(out_dir / "first_semigroup_swap.json", semigroupify(swap_automaton()))
     save(out_dir / "first_semigroup_z2.json", regular_z2())
+    save(out_dir / "first_pure_labels.json", labelled_automaton())
+    save(out_dir / "first_semigroup_labels.json", semigroupify(labelled_automaton()))
     save(out_dir / "wreath_z2_z2.json", wreath_automaton(regular_z2(), regular_z2())[0])
     save(out_dir / "second_pure_parity.json", parity_second())
     odo = odometer().machine

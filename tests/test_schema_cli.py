@@ -48,6 +48,8 @@ CHECK_EXPECTATIONS = {
     "first_pure_tick.json": 0,
     "first_semigroup_swap.json": 0,
     "first_semigroup_z2.json": 0,
+    "first_pure_labels.json": 0,
+    "first_semigroup_labels.json": 0,
     "second_pure_parity.json": 0,
     "second_pure_odometer.json": 0,
     "second_pure_twoinputs.json": 0,
