@@ -14,38 +14,45 @@ name two classes each, and a key picks between them:
 * ``mealy`` is a ``MealyElement`` when ``initial`` is present, else a
   ``MealyMachine``.
 
-Tables are the bulk of every file, so both directions have a fast path:
+Both directions of the codec run through ``orjson``; ``json``, the exact
+reference, runs only where orjson would give other bytes, another
+verdict or another message:
 
-* the writer writes a semigroup ``product`` from ``SemigroupTable.array``,
-  which ``dump_semigroup_table`` passes on as it is: one gather turns the
-  array into decimal strings, from a table sized to its largest entry,
-  and those are joined once per row.  No cell becomes a Python int, and
-  ``dump_object`` alone turns the array into lists, for callers that
-  edit the data;
-* the writer writes every other list of plain ints, or list of non-empty
-  rows of them (``next``, ``out``, ``names``), by looking each cell up in
-  ``_digits``, a table of the decimal strings of 0..4095 that makes any
-  other int's on lookup, and joining each row once;
-* the reader turns a semigroup ``product`` into an array with one
-  ``np.array`` call, whose dtype and shape reject floats, ``None``,
-  strings, ints beyond int64 and ragged rows.
+* ``dumps`` writes products straight from ``SemigroupTable.array``.  It
+  falls back to ``json.dumps(dump_object(obj), indent=2, sort_keys=True)``
+  where orjson raises ``TypeError`` (an int beyond 64 bits, a lone
+  surrogate) or writes a byte above 0x7e: raw UTF-8 or DEL, where json
+  writes ``\\u`` escapes.
+* ``load`` decodes ``read_text(encoding="utf-8")``, which keeps the UTF-8
+  message and json's error positions in CRLF files.  It falls back to
+  ``json.loads`` where orjson rejects the text (NaN, Infinity, 1e400, a
+  lone ``\\ud800``, any malformed file); where a loader check raises,
+  since orjson reads an integer literal outside [-2**63, 2**64) as a
+  float; and where a label is not a string, since labels are kept as
+  ``str(x)`` and 10**30 would become "1e+30".  An error from an object's
+  own constructor is final: a float reaches one only as a label.
+* orjson 3.8 recurses on the C stack without a limit, so a text with
+  more than ``_ORJSON_BRACKETS`` opening brackets goes to json.  Below
+  that, nesting past json's recursion limit (~995 levels from the
+  command line) in a key the loader ignores now loads; json's verdict
+  there depended on the caller's stack depth.
 
-The list paths must keep bools out, since ``True == 1`` and
-``hash(True) == hash(1)``: the list writer scans the cell types before
-any lookup, and the reader type-tests the cells that are at most 1, the
-only ones where ``np.array`` can have turned a bool into an int.  A
-table that leaves a fast path is handled by the plain code, so output
-bytes and error messages do not depend on which path ran.
+The reader turns a ``product`` into an array with one ``np.array`` call,
+whose dtype and shape reject floats, ``None``, strings, ints beyond
+int64 and ragged rows, and type-tests the cells that are at most 1, the
+only ones where it can have taken a bool for an int.  Any other table
+gets the plain checks and their messages.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 
 from .cascade import CascadeTriplePure, CascadeTripleSemigroup
 from .core import FiniteSet, SemigroupTable
@@ -272,79 +279,70 @@ _BY_CLASS = {row[1]: row for row in _TYPES}
 _ATTRIBUTE = {"semigroup": "gamma"}
 
 
-class _Digits(dict):
-    """Decimal strings of ints: stored for 0..4095, the states, letters
-    and generator positions the list paths write; made on lookup for any
-    other int."""
-
-    def __missing__(self, key: int) -> str:
-        return str(key)
+# orjson overflows the C stack at a few ten thousand nested objects
+_ORJSON_BRACKETS = 10_000
+_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                   | orjson.OPT_APPEND_NEWLINE)
 
 
-_digits = _Digits(zip(range(4096), map(str, range(4096)))).__getitem__
-
-
-def _encode(value, pad: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
-    it, nested ``pad`` deep.  With an indent ``json.dumps`` runs its
-    pure-Python encoder; this writer joins each product array (as its
-    list of rows), each list of plain ints, and each list of non-empty
-    rows of plain ints, at C speed, and hands everything else it does not
-    write itself (other scalars, empty containers, dicts with non-str
-    keys) to ``json.dumps``."""
-    if type(value) is int:
-        return str(value)
-    if type(value) is np.ndarray:
-        return _encode_product(value, pad)
-    if type(value) in (list, tuple) and value:
-        inner = pad + "  "
-        # the type scans come before any lookup: _digits(True) would be "1"
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            items = map(_digits, value)
-        elif (kinds <= {list, tuple} and all(value)
-              and set(map(type, chain.from_iterable(value))) == {int}):
-            return _encode_rows(map(map, repeat(_digits), value), pad)
-        else:
-            items = (_encode(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        inner = pad + "  "
-        items = (f"{json.dumps(k)}: {_encode(value[k], inner)}" for k in sorted(value))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    # escaped strings hold no raw newline, so re-indenting is exact
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _encode_rows(rows, pad: str) -> str:
-    """Non-empty rows of decimal strings as ``_encode`` writes a list of
-    rows of ints, nested ``pad`` deep: one join per row, one for all."""
-    inner, deeper = pad + "  ", pad + "    "
-    return (f"[\n{inner}[\n{deeper}"
-            + f"\n{inner}],\n{inner}[\n{deeper}".join(map(f",\n{deeper}".join, rows))
-            + f"\n{inner}]\n{pad}]")
-
-
-def _encode_product(array: np.ndarray, pad: str) -> str:
-    """A product, an n x n array of element indices with n >= 1, as
-    ``_encode`` writes its list of rows: one gather into the decimal
-    strings of 0..max, with no cell turned into a Python int."""
-    digits = np.array([*map(str, range(int(array.max()) + 1))], dtype=object)
-    return _encode_rows(digits[array].tolist(), pad)
+def _text(data) -> str:
+    """``json.dumps(_lists(data), indent=2, sort_keys=True) + "\\n"``."""
+    try:
+        text = orjson.dumps(data, option=_ORJSON_OPTIONS)
+        if text.isascii() and b"\x7f" not in text:  # json writes both as \u escapes
+            return text.decode()
+    except TypeError:  # an int beyond 64 bits, a lone surrogate
+        pass
+    return json.dumps(_lists(data), indent=2, sort_keys=True) + "\n"
 
 
 def dumps(obj) -> str:
-    """The object's JSON text: sorted keys, two-space indent, a final
-    newline; byte for byte what ``json.dumps(..., indent=2,
-    sort_keys=True)`` gives."""
-    return _encode(_dump(obj), "") + "\n"
+    """The object's JSON text, byte for byte ``json.dumps(dump_object(obj),
+    indent=2, sort_keys=True) + "\\n"``."""
+    return _text(_dump(obj))
 
 
 def save(path: str | Path, obj) -> None:
     Path(path).write_text(dumps(obj))
 
 
+def _odd_label(data) -> bool:
+    """Whether an object in ``data`` has a label that is not a string;
+    objects nest only as values of objects."""
+    objects = [data]
+    while objects:
+        node = objects.pop()
+        if type(node) is dict:
+            labels = node.get("labels")
+            if type(labels) is list and not set(map(type, labels)) <= {str}:
+                return True
+            objects.extend(node.values())
+    return False
+
+
+def _load_orjson(path: str | Path):
+    """``load`` through orjson, or None where json may read the file
+    differently (see the module docstring)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if text.count("[") + text.count("{") <= _ORJSON_BRACKETS:
+            data = orjson.loads(text)
+            del text  # freed before validation, which allocates tables of its size
+            if not _odd_label(data):
+                return load_object(data, where=str(path))
+    except SchemaError as exc:
+        if exc.__cause__ is not None:  # from an object's constructor: final
+            raise
+    except (UnicodeDecodeError, orjson.JSONDecodeError, RecursionError):
+        pass
+    return None
+
+
 def load(path: str | Path):
+    """The object in the JSON file at ``path``, as ``json`` reads it."""
+    obj = _load_orjson(path)
+    if obj is not None:
+        return obj
     try:  # the text is freed before validation, which allocates tables of its size
         return load_object(json.loads(Path(path).read_text(encoding="utf-8")), where=str(path))
     except UnicodeDecodeError as exc:

@@ -8,8 +8,10 @@ scans) so they cannot share a bug with the code under test.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from functools import lru_cache
+from pathlib import Path
 from random import Random
 
 from autalg import (
@@ -41,6 +43,7 @@ from autalg import (
     wreath_triple,
 )
 from autalg.core import as_table
+from autalg.schema import SchemaError, load_object
 
 
 # --- random objects ---------------------------------------------------
@@ -560,3 +563,16 @@ def quotient_oracle(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHom
     if not report.ok:
         raise VerificationError(f"quotient failed its own laws: {report.describe()}")
     return result
+
+
+def load_oracle(path: str | Path):
+    """``schema.load`` as it was with ``json`` alone: the reference the
+    orjson reader must match, result for result and message for message."""
+    try:  # the text is freed before validation, which allocates tables of its size
+        return load_object(json.loads(Path(path).read_text(encoding="utf-8")), where=str(path))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nested too deeply") from exc

@@ -36,7 +36,10 @@ from autalg import (
 )
 from autalg.cli import CommandResult, main, parse_word
 from autalg.dot import to_dot
-from autalg.schema import SchemaError, _encode, dump_object, dumps, load, load_object, save
+from autalg.schema import (
+    _ORJSON_BRACKETS, SchemaError, _text, dump_object, dumps, load, load_object, save,
+)
+from helpers import load_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -78,6 +81,41 @@ BOOL_MEALY = {"type": "mealy", "states": True, "initial": False, "alphabet": 2,
               "next": [[0, 0]], "out": [[0, 1]]}
 
 CORPUS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+
+
+# text of any code point, lone surrogates included
+ANY_TEXT = st.characters(exclude_categories=())
+# int arrays: in the data _dump gives, a product, the value of an object
+# nested only in objects
+INT_ARRAYS = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 10**5), min_size=width, max_size=width),
+    min_size=1, max_size=4)).map(lambda rows: np.array(rows, dtype=np.intp))
+# JSON data as _dump gives it, without arrays: no floats, ints to +-2**70,
+# text of any code point, tuples as well as lists
+PLAIN_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+    | st.text(ANY_TEXT, max_size=4),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.lists(st.integers(-3, 10**20), max_size=4)
+                      | st.dictionaries(st.text(ANY_TEXT, max_size=3), children, max_size=4)),
+    max_leaves=20)
+
+
+def _plain(value):
+    """``value`` with each array in it as a list of rows."""
+    if type(value) is dict:
+        return {key: _plain(v) for key, v in value.items()}
+    if type(value) in (list, tuple):
+        return [*map(_plain, value)]
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+def _nested(value, pad: str):
+    """``value`` as the one entry of objects nested ``pad`` deep, which
+    json writes ``pad`` deep."""
+    for _ in range(len(pad) // 2):
+        value = {"k": value}
+    return value
 
 
 def _sites(node, path=()):
@@ -139,14 +177,11 @@ class TestRoundTrip:
 
     @settings(max_examples=300, deadline=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
-        | st.floats() | st.text(max_size=4),
-        lambda children: (st.lists(children, max_size=4)
-                          | st.lists(st.integers(-3, 10**20), max_size=4)
-                          | st.dictionaries(st.text(max_size=3), children, max_size=4)),
-        max_leaves=20))
+        PLAIN_DATA | INT_ARRAYS,
+        lambda objects: st.dictionaries(st.text(ANY_TEXT, max_size=3), objects, max_size=4),
+        max_leaves=8))
     def test_writer_matches_json_dumps(self, value):
-        assert _encode(value, "") + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert _text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=1000, deadline=None)
     @given(st.sampled_from(MUTATION_SITES),
@@ -310,12 +345,12 @@ class TestTableCodec:
         ((1, 2), (3, 4)), [(0,), [1, 2]], (5, 6),  # tuples
         [[1, True], [0, 1]], [[False]], [True, 1], [[0], [1, False]],  # bools among ints
         [[-1, 0, 4095, 4096], [10**20, -(10**20)]], [-5, 2**70], [[4096]],  # beyond the tokens
-        [[[1, 2]], [[3]]], [[1], 2], [{"a": 1}, [1]], [[1, 2.0]], [[1, None]],
+        [[[1, 2]], [[3]]], [[1], 2], [{"a": 1}, [1]], [[1, "2"]], [[1, None]],
     ])
     @pytest.mark.parametrize("pad", ["", "    "])
     def test_encode_edge_cases_match_json_dumps(self, value, pad):
-        expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-        assert _encode(value, pad) == expected
+        value = _nested(value, pad)
+        assert _text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("rows", [
         [[0]], [[4096]], [[0, 1, 2, 3, 4]], [[5], [0], [4095], [4096], [1]],  # 1x1, 1xn, nx1
@@ -323,17 +358,24 @@ class TestTableCodec:
     ])
     @pytest.mark.parametrize("pad", ["", "    "])
     def test_array_writer_matches_json_dumps(self, rows, pad):
-        expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
-        assert _encode(np.array(rows, dtype=np.intp), pad) == expected
+        expected = json.dumps(_nested(rows, pad), indent=2) + "\n"
+        assert _text(_nested(np.array(rows, dtype=np.intp), pad)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda width: st.lists(
                st.lists(st.integers(0, 10**5), min_size=width, max_size=width),
-               min_size=1, max_size=6)),
-           st.sampled_from(["", "  ", "    "]))
-    def test_random_arrays_match_json_dumps(self, rows, pad):
-        expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
-        assert _encode(np.array(rows, dtype=np.intp), pad) == expected
+               min_size=1, max_size=6)))
+    def test_random_arrays_match_json_dumps(self, rows):
+        assert _text(np.array(rows, dtype=np.intp)) == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        *(PureAutomatonFirst(FiniteSet(2, ("a", label)), FiniteSet(1), FiniteSet(1),
+                             ((1,), (0,)), ((0,), (0,)))
+          for label in ("\x7f", "\u00e9", "\U0001f600", "\ud800")),
+        PureAutomatonFirst(FiniteSet(1), FiniteSet(1), FiniteSet(2**70), ((0,),), ((0,),)),
+    ], ids=["del", "latin1", "astral", "lone-surrogate", "size-2**70"])
+    def test_objects_orjson_writes_differently_match_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(dump_object(obj), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name", [n for n, code in CHECK_EXPECTATIONS.items()
                                       if code != 2])
@@ -380,6 +422,102 @@ class TestTableCodec:
         assert capsys.readouterr().err == (
             f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
             f"in position 0: invalid start byte\n")
+
+
+# one JSON text per slot the reader treats differently; %s is the value
+_INT_FIELD = ('{"type": "mealy", "states": %s, "initial": 0, "alphabet": 1, '
+              '"next": [[0]], "out": [[0]]}')
+_INITIAL = ('{"type": "mealy", "states": 1, "initial": %s, "alphabet": 1, '
+            '"next": [[0]], "out": [[0]]}')
+_STATES_SIZE = ('{"type": "first-pure", "states": {"size": %s}, "inputs": {"size": 1}, '
+                '"outputs": {"size": 1}, "next": [[0]], "out": [[0]]}')
+_OUTPUTS_SIZE = ('{"type": "first-pure", "states": {"size": 1}, "inputs": {"size": 1}, '
+                 '"outputs": {"size": %s}, "next": [[0]], "out": [[0]]}')
+_LABEL = ('{"type": "first-pure", "states": {"size": 2, "labels": [%s, "a"]}, '
+          '"inputs": {"size": 1}, "outputs": {"size": 1}, "next": [[1], [0]], "out": [[0], [0]]}')
+_SEMIGROUP = ('{"type": "first-semigroup", "states": {"size": 1}, "outputs": {"size": 1}, '
+              '"semigroup": {"order": 2, "product": [[0, 1], [1, %s]], "generators": [%s]}, '
+              '"next": [[0, 0]], "out": [[0, 0]]}')
+_BIG_INTS = {"2**64": str(2**64), "10**30": str(10**30), "-2**63-1": str(-2**63 - 1)}
+
+READER_CASES = {
+    **{f"{name}-{slot}": (template % value).encode()
+       for name, value in (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"),
+                           ("1e400", "1e400"))
+       for slot, template in (("int", _INT_FIELD), ("label", _LABEL))},
+    "lone-surrogate-label": (_LABEL % '"\\ud800"').encode(),
+    **{f"{name}-{slot}": text.encode()
+       for name, value in _BIG_INTS.items()
+       for slot, text in (("states.size", _STATES_SIZE % value),
+                          ("outputs.size", _OUTPUTS_SIZE % value), ("label", _LABEL % value),
+                          ("product", _SEMIGROUP % (value, 0)),
+                          ("generator", _SEMIGROUP % (0, value)))},
+    "float-label": (_LABEL % "1.5").encode(),
+    # as floats the two labels would be equal
+    "10**30-beside-1e+30-label": (_LABEL % 10**30).replace('"a"', '"1e+30"').encode(),
+    "bom": ("\ufeff" + _INITIAL % 0).encode(),
+    "invalid-utf8": b'{"type": "mealy\xff"}',
+    "crlf-malformed": b'{\r\n  "type": "mealy",\r\n  "states": 1,,\r\n}\r\n',
+    "duplicate-keys": (_INITIAL % 0).replace('"states": 1', '"states": 3, "states": 1').encode(),
+    "minus-zero-initial": (_INITIAL % "-0").encode(),
+    "minus-zero-size": (_INT_FIELD % "-0").encode(),
+    "non-associative":
+        (_SEMIGROUP % (0, 0)).replace("[[0, 1], [1, 0]]", "[[1, 1], [0, 0]]").encode(),
+}
+
+
+def _outcome(loader, path):
+    """What ``loader`` makes of the file: the object's text, or the error."""
+    try:
+        return dumps(loader(path))
+    except Exception as exc:  # the kind of error must match too
+        return type(exc).__name__, str(exc)
+
+
+class TestReaderMatchesJson:
+    """``load`` gives what ``json`` alone gives (``load_oracle``): the same
+    object bytes or the same error."""
+
+    @pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+    def test_reader_cases(self, tmp_path, text):
+        path = tmp_path / "case.json"
+        path.write_bytes(text)
+        assert _outcome(load, path) == _outcome(load_oracle, path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(CORPUS)), st.data())
+    def test_one_byte_edit_reads_as_json_reads_it(self, tmp_path_factory, name, data):
+        text = (FIXTURES / name).read_bytes()
+        at = data.draw(st.integers(0, len(text)), label="at")
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]), label="edit")
+        byte = bytes([data.draw(st.sampled_from(b'0123456789-+.eE"\\[]{},:') | st.integers(0, 255),
+                                label="byte")])
+        text = text[:at] + (b"" if edit == "delete" else byte) + text[at + (edit != "insert"):]
+        path = tmp_path_factory.getbasetemp() / "edited.json"
+        path.write_bytes(text)
+        assert _outcome(load, path) == _outcome(load_oracle, path)
+
+    @pytest.mark.parametrize("note", ["[" * 5000 + "]" * 5000,
+                                      '{"a": ' * 5000 + "1" + "}" * 5000])
+    def test_deep_nesting_in_an_ignored_key_loads(self, tmp_path, note):
+        # the one verdict that changes: json's recursion limit, not the
+        # file, rejected this nesting where the loader never looks
+        path = tmp_path / "deep.json"
+        path.write_text((FIXTURES / "mealy_odometer.json").read_text()[:-2]
+                        + f', "note": {note}}}')
+        with pytest.raises(SchemaError, match=r": nested too deeply$"):
+            load_oracle(path)
+        assert load(path) == load(FIXTURES / "mealy_odometer.json")
+        assert main(["check", str(path)]) == 0
+
+    def test_nesting_past_the_bracket_budget_is_read_by_json(self, tmp_path):
+        # orjson would recurse 100k levels on the C stack and crash
+        depth = 10 * _ORJSON_BRACKETS
+        path = tmp_path / "deeper.json"
+        path.write_text('{"type": "mealy", "note": ' + '{"a": ' * depth + "1" + "}" * depth + "}")
+        proc = subprocess.run([sys.executable, "-m", "autalg.cli", "check", str(path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {path}: nested too deeply\n")
 
 
 class TestCheckCommand:
