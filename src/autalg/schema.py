@@ -31,11 +31,12 @@ verdict or another message:
   float; and where a label is not a string, since labels are kept as
   ``str(x)`` and 10**30 would become "1e+30".  An error from an object's
   own constructor is final: a float reaches one only as a label.
-* orjson 3.8 recurses on the C stack without a limit, so a text with
-  more than ``_ORJSON_BRACKETS`` opening brackets goes to json.  Below
-  that, nesting past json's recursion limit (~995 levels from the
-  command line) in a key the loader ignores now loads; json's verdict
-  there depended on the caller's stack depth.
+* orjson 3.8 recurses on the C stack with no limit, so a text with over
+  ``_ORJSON_BRACKETS`` opening brackets (a table of order above ~5,000)
+  goes to json.  Below that, nesting past json's recursion limit (~995
+  levels from the command line) in a key the loader ignores loads where
+  the installed orjson reads it, as 3.8 does; where orjson refuses it,
+  json's verdict, which hung on the caller's stack depth, stands.
 
 The reader turns a ``product`` into an array with one ``np.array`` call,
 whose dtype and shape reject floats, ``None``, strings, ints beyond
@@ -279,7 +280,7 @@ _BY_CLASS = {row[1]: row for row in _TYPES}
 _ATTRIBUTE = {"semigroup": "gamma"}
 
 
-# orjson overflows the C stack at a few ten thousand nested objects
+# orjson 3.8 overflows the C stack at a few ten thousand nested objects
 _ORJSON_BRACKETS = 10_000
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
                    | orjson.OPT_APPEND_NEWLINE)

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -497,21 +498,39 @@ class TestReaderMatchesJson:
         path.write_bytes(text)
         assert _outcome(load, path) == _outcome(load_oracle, path)
 
+    @pytest.mark.parametrize("refused", [False, True], ids=["installed", "depth-limited"])
     @pytest.mark.parametrize("note", ["[" * 5000 + "]" * 5000,
                                       '{"a": ' * 5000 + "1" + "}" * 5000])
-    def test_deep_nesting_in_an_ignored_key_loads(self, tmp_path, note):
-        # the one verdict that changes: json's recursion limit, not the
-        # file, rejected this nesting where the loader never looks
+    def test_deep_nesting_in_an_ignored_key_loads_where_orjson_reads_it(
+            self, tmp_path, monkeypatch, note, refused):
+        # the one verdict that may change: json's recursion limit, not the
+        # file, rejected this nesting where the loader never looks.  The
+        # file loads where the installed orjson reads the nesting (3.8 has
+        # no depth limit); where orjson refuses it, as a release with a
+        # depth limit does, json's verdict stands
         path = tmp_path / "deep.json"
         path.write_text((FIXTURES / "mealy_odometer.json").read_text()[:-2]
                         + f', "note": {note}}}')
         with pytest.raises(SchemaError, match=r": nested too deeply$"):
             load_oracle(path)
-        assert load(path) == load(FIXTURES / "mealy_odometer.json")
-        assert main(["check", str(path)]) == 0
+        try:
+            orjson.loads(note)
+            reads = not refused
+        except orjson.JSONDecodeError:
+            reads = False
+        if refused:
+            def loads(text):
+                raise orjson.JSONDecodeError("recursion limit reached", text, 0)
+            monkeypatch.setattr(orjson, "loads", loads)
+        if reads:
+            assert load(path) == load(FIXTURES / "mealy_odometer.json")
+        else:
+            with pytest.raises(SchemaError, match=r": nested too deeply$"):
+                load(path)
+        assert main(["check", str(path)]) == (0 if reads else 2)
 
     def test_nesting_past_the_bracket_budget_is_read_by_json(self, tmp_path):
-        # orjson would recurse 100k levels on the C stack and crash
+        # orjson 3.8 would recurse 100k levels on the C stack and crash
         depth = 10 * _ORJSON_BRACKETS
         path = tmp_path / "deeper.json"
         path.write_text('{"type": "mealy", "note": ' + '{"a": ' * depth + "1" + "}" * depth + "}")
