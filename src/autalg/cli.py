@@ -4,8 +4,10 @@ Exit codes are uniform across verbs: 0 for a pass or a computed result,
 1 for a failed property (an axiom violation, an incompatible quotient, a
 false equality, an invalid embedding triple), 2 for usage or input errors,
 for a construction that fails its own built-in verification
-(``VerificationError``, printed as ``error: ...``) and for running out of
-memory (``MemoryError``, printed as ``error: out of memory``).
+(``VerificationError``, printed as ``error: ...``), for running out of
+memory (``MemoryError``, printed as ``error: out of memory``) and for a
+standard output whose reader has gone (``BrokenPipeError``, as in
+``autalg group invert m.json | head -1``), which prints nothing more.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -377,8 +380,17 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    if result.message:
-        print(result.message)
+    try:
+        if result.message:
+            print(result.message)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout's descriptor at the null device,
+        # so what is still buffered is flushed there at exit, not raised again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return result.exit_code
 
 

@@ -38,6 +38,19 @@ class MealyMachine:
         object.__setattr__(self, "out",
                            as_table("out", self.out, self.states, self.alphabet, self.alphabet))
 
+    @classmethod
+    def _trusted(cls, states: int, alphabet: int, nxt: tuple[tuple[int, ...], ...],
+                 out: tuple[tuple[int, ...], ...]) -> MealyMachine:
+        """A machine from tables this module built: tuples of tuples of
+        plain ints, in range by construction, so ``__post_init__``'s
+        checks are skipped.  Anything read from outside goes through the
+        validating constructor."""
+        machine = object.__new__(cls)
+        for name, value in (("states", states), ("alphabet", alphabet),
+                            ("next", nxt), ("out", out)):
+            object.__setattr__(machine, name, value)
+        return machine
+
 
 def non_invertible_state(m: MealyMachine) -> int | None:
     """First state whose letter map is not a permutation, or None."""
@@ -135,7 +148,7 @@ def element_compose(e1: MealyElement, e2: MealyElement) -> MealyElement:
                 orow.append(m2.out[b][y])
             nxt.append(tuple(nrow))
             out.append(tuple(orow))
-    machine = MealyMachine(m1.states * q2, m1.alphabet, tuple(nxt), tuple(out))
+    machine = MealyMachine._trusted(m1.states * q2, m1.alphabet, tuple(nxt), tuple(out))
     return MealyElement(machine, e1.initial * q2 + e2.initial)
 
 
@@ -154,8 +167,37 @@ def element_invert(e: MealyElement) -> MealyElement:
             inv[m.out[q][x]] = x
         out.append(tuple(inv))
         nxt.append(tuple(m.next[q][inv[y]] for y in range(m.alphabet)))
-    return MealyElement(MealyMachine(m.states, m.alphabet, tuple(nxt), tuple(out)),
+    return MealyElement(MealyMachine._trusted(m.states, m.alphabet, tuple(nxt), tuple(out)),
                         e.initial)
+
+
+def _reachable_product(e1: MealyElement, e2: MealyElement
+                       ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The part of ``element_compose(e1, e2)`` reachable from its initial
+    state, as ``nxt`` and ``out`` tables over the reached state pairs
+    numbered in discovery order.  One breadth-first search, letters taken
+    in increasing order, so the numbering is the one ``bfs_order`` gives
+    the full product."""
+    m1, m2 = e1.machine, e2.machine
+    q2 = m2.states
+    pairs = [e1.initial * q2 + e2.initial]
+    index = {pairs[0]: 0}
+    nxt = []
+    out = []
+    for pair in pairs:
+        a, b = divmod(pair, q2)
+        next2, out2 = m2.next[b], m2.out[b]
+        row = []
+        for a_next, y in zip(m1.next[a], m1.out[a]):
+            target = a_next * q2 + next2[y]
+            i = index.get(target)
+            if i is None:
+                i = index[target] = len(pairs)
+                pairs.append(target)
+            row.append(i)
+        nxt.append(row)
+        out.append(tuple([out2[y] for y in m1.out[a]]))
+    return nxt, out
 
 
 def _bisimulation_blocks(nxt: list[list[int]], out: list[tuple[int, ...]]) -> list[int]:
@@ -163,16 +205,43 @@ def _bisimulation_blocks(nxt: list[list[int]], out: list[tuple[int, ...]]) -> li
     where equivalent states have equal letter maps and equivalent
     successors (Moore's refinement).  Block ids are assigned by first
     occurrence in state order, so they are deterministic.
+
+    A round gives each state one integer signature: its block, then the
+    blocks of its successors letter by letter, as the digits of a base-n
+    number, n the number of states.  Every block id is below n, so equal
+    signatures mean equal digits.  A round only splits blocks (the old
+    block is the leading digit), so when it leaves the number of blocks
+    unchanged it leaves the partition unchanged, and the first-occurrence
+    numbering then gives the same list: the refinement is stable.
     """
-    keys: dict[tuple, int] = {}
+    n = len(out)
+    keys: dict = {}
     block = [keys.setdefault(row, len(keys)) for row in out]
+    count = len(keys)
+    columns = list(zip(*nxt))
     while True:
+        signature = block
+        for column in columns:
+            signature = [s * n + block[v] for s, v in zip(signature, column)]
         keys = {}
-        refined = [keys.setdefault((b, *[block[v] for v in row]), len(keys))
-                   for b, row in zip(block, nxt)]
-        if refined == block:
+        block = [keys.setdefault(s, len(keys)) for s in signature]
+        if len(keys) == count:
             return block
-        block = refined
+        count = len(keys)
+
+
+def _minimal(nxt: list[list[int]], out: list[tuple[int, ...]], alphabet: int) -> MealyElement:
+    """The canonical form of the element at state 0 of the given tables,
+    all of whose states are reachable from state 0 and numbered in
+    breadth-first order: bisimilar states merged, each block taking the
+    place of its first representative."""
+    block = _bisimulation_blocks(nxt, out)
+    reps: dict[int, int] = {}
+    for i, b in enumerate(block):
+        reps.setdefault(b, i)
+    new_next = tuple(tuple([block[v] for v in nxt[i]]) for i in reps.values())
+    new_out = tuple(out[i] for i in reps.values())
+    return MealyElement(MealyMachine._trusted(len(reps), alphabet, new_next, new_out), 0)
 
 
 def minimize_element(e: MealyElement) -> MealyElement:
@@ -192,13 +261,7 @@ def minimize_element(e: MealyElement) -> MealyElement:
     reach = bfs_order(m.next, e.initial)
     index = {q: i for i, q in enumerate(reach)}
     nxt = [[index[v] for v in m.next[q]] for q in reach]
-    block = _bisimulation_blocks(nxt, [m.out[q] for q in reach])
-    reps: dict[int, int] = {}
-    for i, b in enumerate(block):
-        reps.setdefault(b, i)
-    new_next = tuple(tuple(block[v] for v in nxt[i]) for i in reps.values())
-    new_out = tuple(m.out[reach[i]] for i in reps.values())
-    return MealyElement(MealyMachine(len(reps), m.alphabet, new_next, new_out), 0)
+    return _minimal(nxt, [m.out[q] for q in reach], m.alphabet)
 
 
 def element_equal(e1: MealyElement, e2: MealyElement) -> bool:
@@ -272,6 +335,14 @@ def element_order_bounded(e: MealyElement, max_power: int = 64,
     identity exactly when it equals the one-state identity element.  If
     a minimized power has more than ``max_states`` states the search
     reports the bound instead of failing.
+
+    Each power is built from the previous one by ``_reachable_product``,
+    never as the full product.  Its breadth-first search over state pairs
+    visits exactly the states ``bfs_order`` reaches in
+    ``element_compose(power, e)``, in the same order, with the same
+    letter maps, so ``_minimal`` receives the tables ``minimize_element``
+    would build from that product, and each power equals
+    ``minimize_element(element_compose(power, e))``.
     """
     bad = non_invertible_state(e.machine)
     if bad is not None:
@@ -284,5 +355,5 @@ def element_order_bounded(e: MealyElement, max_power: int = 64,
         if power.machine.states > max_states:
             return OrderResult(None, k, "state cap")
         if k < max_power:
-            power = minimize_element(element_compose(power, e))
+            power = _minimal(*_reachable_product(power, e), e.machine.alphabet)
     return OrderResult(None, max_power, "power cap")

@@ -42,7 +42,7 @@ from autalg import (
     to_universal,
     wreath_triple,
 )
-from autalg.core import as_table
+from autalg.core import as_table, bfs_order
 from autalg.schema import SchemaError, load_object
 
 
@@ -419,7 +419,8 @@ def smallest_generating_set(table: SemigroupTable) -> tuple[int, ...]:
     raise AssertionError("unreachable: the whole table generates itself")
 
 
-# --- letter machines: whole-machine refinement -------------------------
+# --- letter machines: whole-machine refinement, and the kernels the
+# fused power step and integer-signature rounds replaced --------------
 
 def union_blocks_oracle(machines) -> list[list[int]]:
     """Moore's refinement over the disjoint union of all the machines'
@@ -490,6 +491,56 @@ def order_oracle(e: MealyElement, max_power: int):
             power = minimize_oracle(power)
             if power.machine.states > 100_000:
                 return None, k + 1, "state cap"
+    return None, max_power, "power cap"
+
+
+def blocks_reference(nxt: list[list[int]], out: list[tuple[int, ...]]) -> list[int]:
+    """Moore's refinement keyed on tuples, stopping when a round returns
+    the same list: the kernel the integer-signature rounds replaced."""
+    keys: dict[tuple, int] = {}
+    block = [keys.setdefault(row, len(keys)) for row in out]
+    while True:
+        keys = {}
+        refined = [keys.setdefault((b, *[block[v] for v in row]), len(keys))
+                   for b, row in zip(block, nxt)]
+        if refined == block:
+            return block
+        block = refined
+
+
+def minimize_reference(e: MealyElement) -> MealyElement:
+    """The reachable-part minimization on ``blocks_reference``, through
+    the validating constructor."""
+    m = e.machine
+    reach = bfs_order(m.next, e.initial)
+    index = {q: i for i, q in enumerate(reach)}
+    nxt = [[index[v] for v in m.next[q]] for q in reach]
+    block = blocks_reference(nxt, [m.out[q] for q in reach])
+    reps: dict[int, int] = {}
+    for i, b in enumerate(block):
+        reps.setdefault(b, i)
+    new_next = tuple(tuple(block[v] for v in nxt[i]) for i in reps.values())
+    new_out = tuple(m.out[reach[i]] for i in reps.values())
+    return MealyElement(MealyMachine(len(reps), m.alphabet, new_next, new_out), 0)
+
+
+def power_step_reference(power: MealyElement, e: MealyElement) -> MealyElement:
+    """The next minimized power, from the full product."""
+    return minimize_reference(element_compose(power, e))
+
+
+def order_reference(e: MealyElement, max_power: int, max_states: int):
+    """The order search that builds each power as the full product and
+    then minimizes it: (order or None, power reached, reason)."""
+    ident = identity_element(e.machine.alphabet)
+    e = power = minimize_reference(e)
+    for k in range(1, max_power + 1):
+        if power == ident:
+            return k, k, ""
+        if power.machine.states > max_states:
+            return None, k, "state cap"
+        if k < max_power:
+            power = power_step_reference(power, e)
     return None, max_power, "power cap"
 
 

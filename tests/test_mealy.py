@@ -22,10 +22,16 @@ from autalg import (
     minimize_element,
     odometer,
 )
+from autalg.mealy import _bisimulation_blocks, _minimal, _reachable_product
+from autalg.schema import dumps
 from helpers import (
+    blocks_reference,
     equal_oracle,
     minimize_oracle,
+    minimize_reference,
     order_oracle,
+    order_reference,
+    power_step_reference,
     plus_k_oracle,
     random_mealy,
     relabel,
@@ -270,6 +276,65 @@ class TestCanonicalForm:
         echo = MealyElement(MealyMachine(3, 2, ((1, 2), (2, 1), (0, 0)),
                                          ((0, 1), (0, 1), (0, 1))), 2)
         assert minimize_element(echo) == identity_element(2)
+
+
+class TestFusedKernels:
+    """The reachable-product power step, the integer-signature rounds and
+    the trusted constructor against the code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blocks_match_the_tuple_rounds(self, data):
+        # arbitrary tables: unreachable states, letter maps that are not
+        # permutations
+        alphabet = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 8))
+        nxt = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=alphabet,
+                                          max_size=alphabet), min_size=n, max_size=n))
+        out = data.draw(st.lists(st.tuples(*[st.integers(0, alphabet - 1)] * alphabet),
+                                 min_size=n, max_size=n))
+        assert _bisimulation_blocks(nxt, out) == blocks_reference(nxt, out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_power_matches_the_minimized_full_product(self, data):
+        alphabet = data.draw(st.integers(1, 3))
+        e = data.draw(elements(alphabet, max_states=5, invertible=True))
+        base = minimize_element(e)
+        assert base == minimize_reference(e)
+        power = base
+        for _ in range(24):
+            fused = _minimal(*_reachable_product(power, base), alphabet)
+            assert fused == power_step_reference(power, base)
+            power = fused
+            if power.machine.states > 40:
+                break
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 6))
+    def test_order_matches_the_full_product_loop_at_small_caps(self, data, max_power,
+                                                              max_states):
+        e = data.draw(elements(data.draw(st.integers(1, 3)), max_states=4, invertible=True))
+        result = element_order_bounded(e, max_power=max_power, max_states=max_states)
+        assert (result.order, result.reached, result.reason) == \
+            order_reference(e, max_power, max_states)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_trusted_and_validated_machines_are_one_value(self, data):
+        alphabet = data.draw(st.integers(1, 3))
+        e = data.draw(elements(alphabet, max_states=5))
+        m = e.machine
+        trusted = MealyMachine._trusted(m.states, m.alphabet, m.next, m.out)
+        assert trusted == m and hash(trusted) == hash(m)
+        assert dumps(trusted) == dumps(m)
+        assert dumps(MealyElement(trusted, e.initial)) == dumps(e)
+        built = [element_compose(e, e), minimize_element(e)]
+        if is_invertible(m):
+            built.append(element_invert(e))
+        for b in (x.machine for x in built):  # built tables pass validation unchanged
+            again = MealyMachine(b.states, b.alphabet, b.next, b.out)
+            assert again == b and hash(again) == hash(b) and dumps(again) == dumps(b)
 
 
 class TestOrderBounded:

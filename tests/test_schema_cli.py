@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -845,6 +846,25 @@ class TestConstructCommand:
         monkeypatch.setattr(cli, "check_first_axioms", exhausted)
         assert main(["check", str(FIXTURES / "first_semigroup_swap.json")]) == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("verb", ["order", "invert"])
+    def test_closed_stdout_is_an_error_exit(self, verb, unbuffered):
+        # the read end is closed before the run; the write fails in print
+        # when stdout is unbuffered, else in the flush after it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "autalg.cli", "group", verb,
+                 str(FIXTURES / "mealy_grigorchuk.json")],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
     def test_wrong_input_type_is_an_input_error(self):
         assert main(["construct", "semigroupify",
