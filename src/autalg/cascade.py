@@ -27,6 +27,9 @@ from .core import (
     CheckReport,
     FiniteSet,
     SemigroupTable,
+    _check_cells,
+    _greedy_generators,
+    _trusted,
     as_table,
     check_laws,
 )
@@ -88,10 +91,13 @@ def _cascade_tables(m1, m2, t) -> tuple:
 
 def cascade_pure(m1: PureAutomatonFirst, m2: PureAutomatonFirst,
                  t: CascadeTriplePure) -> PureAutomatonFirst:
-    """The cascade connection of two pure automata along a triple."""
+    """The cascade connection of two pure automata along a triple.
+    Once ``check_pure_triple`` passes, the triple's tables index the
+    components' columns, so the cascade's tables are in range and are
+    not re-checked."""
     check_pure_triple(t, m1, m2)
     states, outputs, nxt, out = _cascade_tables(m1, m2, t)
-    return PureAutomatonFirst(states, t.inputs, outputs, nxt, out)
+    return _trusted(PureAutomatonFirst, states, t.inputs, outputs, nxt, out)
 
 
 def check_triple_morphism(t: CascadeTriplePure, t2: CascadeTriplePure,
@@ -197,11 +203,14 @@ def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTriple
 def cascade_semigroup(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
                       t: CascadeTripleSemigroup) -> SemigroupAutomatonFirst:
     """The cascade of two semigroup automata along a (Gamma, alpha, beta)
-    triple; with a valid triple the result satisfies the action laws."""
+    triple; with a valid triple the result satisfies the action laws.
+    The ``as_table`` pair checks that alpha and beta index the
+    components' columns, so the cascade's tables are in range and are
+    not re-checked."""
     as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
     as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
     states, outputs, nxt, out = _cascade_tables(m1, m2, t)
-    return SemigroupAutomatonFirst(states, t.gamma, outputs, nxt, out)
+    return _trusted(SemigroupAutomatonFirst, states, t.gamma, outputs, nxt, out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,8 +276,18 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
     factor's map by the left factor's g2 part:
 
         (f, s)(f', s') == (a |-> f(a) f'(a . s), s s')
+
+    That product is associative when g1 and g2 are and the action is one
+    (Eilenberg 1976, *Automata, Languages and Machines* vol. B): both
+    ((f, s)(f', s'))(f'', s'') and (f, s)((f', s')(f'', s'')) are
+    (a |-> f(a) f'(a . s) f''((a . s) . s'), s s' s''), by associativity
+    of g1 and g2 and a . (s s') == (a . s) . s'.  So the table is built
+    without ``SemigroupTable``'s checks; its ``generating_set`` is the
+    greedy one the constructor would choose.  Raises CapExceeded, before
+    anything is built, past ``cap`` elements or ``CELL_BUDGET`` cells.
     """
     action, order = _wreath_order(g1, a2, action, g2, cap)
+    _check_cells("wreath product", order)
     bars = np.indices((g1.order,) * a2.size).reshape(a2.size, -1).T  # lexicographic
     elements = tuple(WreathElement(bar, s) for bar in map(tuple, bars.tolist())
                      for s in range(g2.order))
@@ -282,7 +301,9 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
         ranks = sum(p1[np.ix_(bars[:, a], bars[:, action[a][s]])] * weights[a]
                     for a in range(a2.size))
         product[:, s] = ranks[:, :, None] + p2[s]
-    table = SemigroupTable(order, product.reshape(order, order))
+    product = product.reshape(order, order)
+    product.flags.writeable = False
+    table = _trusted(SemigroupTable, order, None, None, product, _greedy_generators(product))
     return WreathProduct(g1, a2, action, g2, table, elements)
 
 

@@ -17,12 +17,16 @@ concurrent readers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_CAP = 1_000_000
+# the most cells a package construction may fill in one table: an order
+# far under DEFAULT_CAP can still need order^2 cells.  2**26 admits order
+# 8192 (512 MiB of np.intp) and refuses order 20,736 (3.4 GB)
+CELL_BUDGET = 2 ** 26
 
 
 class CapExceeded(RuntimeError):
@@ -34,6 +38,27 @@ class VerificationError(RuntimeError):
 
     Raising this signals an internal inconsistency, not bad user input.
     """
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` in
+    ``fields(cls)`` order, built without ``__post_init__``: for values the
+    package built and proved valid.  Input from outside goes through the
+    validating constructor."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
+def _check_cells(what: str, order: int) -> None:
+    """Raise CapExceeded if a table of ``order`` elements would fill more
+    than ``CELL_BUDGET`` cells."""
+    cells = order * order
+    if cells > CELL_BUDGET:
+        raise CapExceeded(f"{what} of order {order} needs {cells} table cells "
+                          f"({cells * np.dtype(np.intp).itemsize} bytes), over the "
+                          f"budget of {CELL_BUDGET} cells")
 
 
 def as_table(name: str, table: Sequence[Sequence[int]], rows: int, cols: int,
@@ -431,6 +456,21 @@ class SemigroupTable:
     ints from ``array`` on each access.  Tables compare and hash by value
     over order, table, generators and names.  Construction also keeps
     ``generating_set``, the distinct generators Light's test used.
+
+    The constructor validates input from outside, and everything that
+    ``schema`` loads goes through it.  Tables and automata the package
+    builds are valid by a proof in the building function's docstring and
+    skip validation (``_trusted``), holding the same slots the constructor
+    would store:
+
+    * ``close_generators``: the closure of an associative product;
+    * ``cascade.wreath_product``: the wreath formula;
+    * ``first_type.semigroupify``: its generator-column check;
+    * ``second_type.quotient_construct``: the behaviors along mu's tree;
+    * ``cascade.cascade_pure`` and ``cascade.cascade_semigroup``: the
+      triple's tables, checked against the components, index theirs;
+    * ``serial.derive_second_type``: the connection's own tables;
+    * the ``mealy`` products, inverses and minimal machines.
     """
 
     order: int
@@ -524,11 +564,18 @@ def close_generators(generators: Sequence[Hashable],
         x j == x (p(j) g_l(j)) == (x p(j)) g_l(j) == R[x p(j), l(j)],
 
     where the middle step is associativity of ``multiply`` and x p(j) is
-    a column of the previous level.  ``SemigroupTable`` then checks that
-    the table is associative and generated, so a non-associative
-    ``multiply`` may still leave a table that differs from its own
-    products: callers that need the exact table check it against their
-    elements (see ``first_type.semigroupify``).
+    a column of the previous level.
+
+    Precondition: ``multiply`` is associative.  The table is then that of
+    ``multiply`` on the elements, so it is associative, and the names
+    evaluate along the tree, so it is generated; it is built without
+    ``SemigroupTable``'s checks (``_trusted``) and not re-checked.  For a
+    non-associative ``multiply`` the table may differ from the products
+    and need not be associative.  In the package,
+    ``first_type.semigroupify`` closes under the associative pair product
+    and checks the generator columns against its elements.
+    Raises CapExceeded, before the table is filled, if it would need
+    more than ``CELL_BUDGET`` cells.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -570,18 +617,21 @@ def close_generators(generators: Sequence[Hashable],
             right.append(row)
         bounds.append(len(elements))
     n = len(elements)
+    _check_cells("closure", n)
     tree = _Tree([np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
                  np.array(parent, dtype=np.intp), np.array([w[-1] for w in names], dtype=np.intp))
     product = _fold_tree(np.array(right, dtype=np.intp), np.arange(n), tree)
-    table = SemigroupTable(n, product, generators=tuple(letter_to_index),
-                           names=tuple(names))
-    return Closure(table, tuple(elements), tuple(letter_to_index))
+    product.flags.writeable = False
+    gens = tuple(letter_to_index)
+    table = _trusted(SemigroupTable, n, gens, tuple(names), product, tuple(dict.fromkeys(gens)))
+    return Closure(table, tuple(elements), gens)
 
 
 def generate_semigroup(generators: Sequence[Hashable],
                        multiply: Callable,
                        cap: int = DEFAULT_CAP) -> SemigroupTable:
-    """The semigroup generated by ``generators`` as a multiplication table."""
+    """The semigroup generated by ``generators`` as a multiplication table;
+    ``multiply`` must be associative (see ``close_generators``)."""
     return close_generators(generators, multiply, cap).table
 
 

@@ -30,6 +30,7 @@ from .core import (
     Transformation,
     VerificationError,
     Word,
+    _trusted,
     as_table,
     check_laws,
     close_generators,
@@ -119,13 +120,13 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     along the tree and associativity of the pair product,
     T[x, j] == (x p(j)) g(j) == x (p(j) g(j)) == x j.
     VerificationError, naming the lowest failing state, is raised
-    otherwise.
+    otherwise.  The action laws hold in the pair product, so the result
+    is built without re-validation (``core._trusted``).
     """
     size = m.states.size
     gens = [sigma + phi for sigma, phi in zip(zip(*m.next), zip(*m.out))]
     closure = close_generators(gens, partial(multiply_flat, size), cap)
-    flat = np.array(closure.elements, dtype=np.intp).T
-    nxt, out = flat[:size], flat[size:]
+    nxt, out = np.split(np.array(closure.elements, dtype=np.intp).T, [size])
     cols = list(closure.letter_to_index)
     product = closure.table.array[:, cols]
     wrong = ((nxt[:, product] != nxt[:, cols][nxt])
@@ -133,8 +134,8 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     if wrong.any():
         raise VerificationError(
             f"closure table differs from the pair product at state {wrong.argmax()}")
-    return SemigroupAutomatonFirst(m.states, closure.table, m.outputs,
-                                   nxt.tolist(), out.tolist())
+    return _trusted(SemigroupAutomatonFirst, m.states, closure.table, m.outputs,
+                    tuple(map(tuple, nxt.tolist())), tuple(map(tuple, out.tolist())))
 
 
 class Run(NamedTuple):

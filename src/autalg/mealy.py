@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Word, as_table, bfs_order
+from .core import Word, _trusted, as_table, bfs_order
 from .serial import NotInvertible
 
 
@@ -38,18 +38,9 @@ class MealyMachine:
         object.__setattr__(self, "out",
                            as_table("out", self.out, self.states, self.alphabet, self.alphabet))
 
-    @classmethod
-    def _trusted(cls, states: int, alphabet: int, nxt: tuple[tuple[int, ...], ...],
-                 out: tuple[tuple[int, ...], ...]) -> MealyMachine:
-        """A machine from tables this module built: tuples of tuples of
-        plain ints, in range by construction, so ``__post_init__``'s
-        checks are skipped.  Anything read from outside goes through the
-        validating constructor."""
-        machine = object.__new__(cls)
-        for name, value in (("states", states), ("alphabet", alphabet),
-                            ("next", nxt), ("out", out)):
-            object.__setattr__(machine, name, value)
-        return machine
+    # _trusted(states, alphabet, next, out): a machine from tables this
+    # module built, tuples of tuples of plain ints in range
+    _trusted = classmethod(_trusted)
 
 
 def non_invertible_state(m: MealyMachine) -> int | None:

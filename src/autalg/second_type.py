@@ -24,6 +24,7 @@ from .core import (
     _generated_tree,
     _Tree,
     _tree_word,
+    _trusted,
     as_table,
     check_laws,
     evaluate_word,
@@ -176,7 +177,9 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
     or else the quotient automaton, whose state and accumulation laws
     need no further check: mu is surjective, and for any words u and v,
     B[a, mu(u v)] is the run of u v from a, which is the run of u
-    followed by the run of v from the state u leads to.
+    followed by the run of v from the state u leads to.  Its tables hold
+    states and elements of sigma by construction, so it is built without
+    re-validation (``core._trusted``).
     """
     if mu.alphabet_size != m.inputs.size:
         raise ValueError("mu alphabet does not match the automaton's inputs")
@@ -201,6 +204,5 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
         v = (_tree_word(tree, order[e - 1]) if e else ()) + (x,)
         return QuotientWitness(a, Word(_tree_word(tree, g), n), Word(v, n),
                                divmod(int(behavior[a, g]), width), divmod(int(via[a, e, x]), width))
-    next_table, out_table = np.divmod(behavior, width)
-    return SemigroupAutomatonSecond(m.states, gamma, sigma,
-                                    next_table.tolist(), out_table.tolist())
+    next_table, out_table = (tuple(map(tuple, t.tolist())) for t in np.divmod(behavior, width))
+    return _trusted(SemigroupAutomatonSecond, m.states, gamma, sigma, next_table, out_table)

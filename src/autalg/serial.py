@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CheckReport, FiniteSet, SemigroupTable, Word, as_table, bfs_order, check_laws
+from .core import CheckReport, FiniteSet, SemigroupTable, Word, _trusted, as_table, bfs_order, check_laws
 from .first_type import SemigroupAutomatonFirst
 from .second_type import PureAutomatonSecond, SemigroupAutomatonSecond, free_extension_out
 
@@ -95,9 +95,10 @@ def serial_action(s: SerialConnection, a: int, b: int, g: int) -> tuple[int, int
 
 def derive_second_type(s: SerialConnection) -> SemigroupAutomatonSecond:
     """The accumulating automaton a serial connection computes: states and
-    action from the first machine, outputs in Sigma via alpha."""
-    return SemigroupAutomatonSecond(s.first.states, s.first.gamma, s.sigma,
-                                    s.first.next, s.alpha)
+    action from the first machine, outputs in Sigma via alpha.  Both
+    tables were validated with the connection, so they are not again."""
+    return _trusted(SemigroupAutomatonSecond, s.first.states, s.first.gamma, s.sigma,
+                    s.first.next, s.alpha)
 
 
 def serial_from_second(m: SemigroupAutomatonSecond) -> SerialConnection:

@@ -7,12 +7,15 @@ scans) so they cannot share a bug with the code under test.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from collections import deque
 from functools import lru_cache
 from pathlib import Path
 from random import Random
+
+import numpy as np
 
 from autalg import (
     Closure,
@@ -39,11 +42,12 @@ from autalg import (
     element_compose,
     identity_element,
     multiply_pair,
+    semiautomaton,
     to_universal,
     wreath_triple,
 )
 from autalg.core import as_table, bfs_order
-from autalg.schema import SchemaError, load_object
+from autalg.schema import SchemaError, dumps, load_object
 
 
 # --- random objects ---------------------------------------------------
@@ -627,3 +631,44 @@ def load_oracle(path: str | Path):
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: nested too deeply") from exc
+
+
+# --- trusted constructions: the validating rebuild ----------------------
+
+def revalidated(obj):
+    """``obj`` rebuilt through the validating constructors from its init
+    fields, every semigroup table in it too: the value the package would
+    hold had it validated its own construction."""
+    if isinstance(obj, SemigroupTable):
+        return SemigroupTable(obj.order, obj.product, obj.generators, obj.names)
+    return type(obj)(*(revalidated(v) if isinstance(v, SemigroupTable) else v
+                       for v in (getattr(obj, f.name) for f in dataclasses.fields(obj))))
+
+
+def _types(value):
+    """The type of ``value``, and of every entry of a nested tuple."""
+    if isinstance(value, tuple):
+        return tuple, tuple(map(_types, value))
+    return type(value)
+
+
+def assert_same_value(built, rebuilt) -> None:
+    """``built`` and ``rebuilt`` hold the same value in every slot, of the
+    same types down to each table entry (tuples of Python ints), tables as
+    read-only ``np.intp`` arrays; they compare, hash and dump alike."""
+    assert type(built) is type(rebuilt)
+    for f in dataclasses.fields(built):
+        a, b = getattr(built, f.name), getattr(rebuilt, f.name)
+        if isinstance(a, SemigroupTable):
+            assert_same_value(a, b)
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype == np.intp, f.name
+            assert not a.flags.writeable and not b.flags.writeable, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b and _types(a) == _types(b), f.name
+    assert built == rebuilt and hash(built) == hash(rebuilt)
+    if isinstance(built, SemigroupTable):  # dumped as a one-state automaton's semigroup
+        built, rebuilt = (semiautomaton(FiniteSet(1), t, ((0,) * t.order,))
+                          for t in (built, rebuilt))
+    assert dumps(built) == dumps(rebuilt)

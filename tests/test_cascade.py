@@ -1,5 +1,7 @@
 import functools
 import itertools
+import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -28,6 +30,7 @@ from autalg import (
     wreath_product,
     wreath_triple,
 )
+from autalg.schema import load
 from helpers import (
     all_actions,
     embed_oracle,
@@ -150,6 +153,21 @@ class TestWreathSemigroup:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             wreath_product(Z3, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3, cap=26).table
+
+    def test_past_the_cell_budget_raises_before_building(self):
+        # 12^3 * 12 = 20,736 elements, far under the default cap, but the
+        # table would hold 20,736^2 cells: 3.4 GB
+        m = load(Path(__file__).parent / "fixtures" / "first_semigroup_labels.json")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"^wreath product of order 20736 needs "
+                                                  r"429981696 table cells \(3439853568 bytes\), "
+                                                  r"over the budget of 67108864 cells$"):
+                wreath_product(m.gamma, m.states, m.next, m.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_non_action_rejected(self):
         # swapping under a left-zero semigroup is not an action

@@ -30,9 +30,11 @@ from autalg.core import as_table
 from helpers import (
     _is_associative,
     as_table_oracle,
+    assert_same_value,
     greedy_generators_oracle,
     is_generated_by,
     naive_closure_table,
+    revalidated,
     semigroups_up_to_iso,
 )
 
@@ -305,11 +307,33 @@ class TestGenerateSemigroup:
     def test_closure_is_closed_and_named(self, gens):
         closure = close_generators(gens, compose_transformations, cap=27)
         table = closure.table
-        # every product stays inside, every name evaluates back (the
-        # constructor re-checks, so reaching here is already the assertion)
+        # every product stays inside, every name evaluates back: the
+        # closure is not re-checked, so the validating constructor does it
+        assert_same_value(table, revalidated(table))
         assert table.order <= 27
         for li, gi in zip(range(len(gens)), closure.letter_to_index):
             assert closure.elements[gi] == gens[li] or gens.index(gens[li]) < li
+
+
+class TestCellBudget:
+    def test_the_budget_admits_order_8192_and_no_more(self):
+        core._check_cells("closure", 8192)
+        with pytest.raises(CapExceeded, match=r"^closure of order 8193 needs 67125249 table "
+                                              r"cells \(537001992 bytes\), over the budget "
+                                              r"of 67108864 cells$"):
+            core._check_cells("closure", 8193)
+
+    def test_closure_checks_the_budget_before_filling(self, monkeypatch):
+        monkeypatch.setattr(core, "CELL_BUDGET", 8)
+        assert close_generators([Transformation((1, 0))], compose_transformations).table.order == 2
+        with pytest.raises(CapExceeded, match=r"^closure of order 3 needs 9 table cells "
+                                              r"\(72 bytes\), over the budget of 8 cells$"):
+            close_generators([Transformation((1, 2, 0))], compose_transformations)
+
+    def test_the_full_transformation_monoid_of_five_points_fits(self):
+        gens = [Transformation((1, 2, 3, 4, 0)), Transformation((1, 0, 2, 3, 4)),
+                Transformation((0, 0, 2, 3, 4))]
+        assert close_generators(gens, compose_transformations).table.order == 5 ** 5
 
 
 class TestClosureAgainstOracle:

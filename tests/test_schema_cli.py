@@ -651,6 +651,14 @@ class TestConstructCommand:
             "error: closure exceeded cap 1: 2 elements found by words of length 2\n")
         assert not (tmp_path / "never.json").exists()
 
+    def test_wreath_past_the_cell_budget_is_an_input_error(self, tmp_path, capsys):
+        labels, out = str(FIXTURES / "first_semigroup_labels.json"), tmp_path / "never.json"
+        assert main(["construct", "wreath", labels, labels, "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: wreath product of order 20736 needs 429981696 table cells "
+                "(3439853568 bytes), over the budget of 67108864 cells\n")
+        assert not out.exists()
+
     def test_cascade_pure(self, tmp_path):
         out = tmp_path / "cascade.json"
         assert main(["construct", "cascade",
