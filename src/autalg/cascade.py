@@ -29,6 +29,7 @@ from .core import (
     SemigroupTable,
     _check_cells,
     _greedy_generators,
+    _index_dtype,
     _trusted,
     as_table,
     check_laws,
@@ -291,10 +292,11 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
     bars = np.indices((g1.order,) * a2.size).reshape(a2.size, -1).T  # lexicographic
     elements = tuple(WreathElement(bar, s) for bar in map(tuple, bars.tolist())
                      for s in range(g2.order))
-    # rank(bar, s) == bar @ weights + s, as in WreathProduct.index
+    # rank(bar, s) == bar @ weights + s, as in WreathProduct.index, summed
+    # in np.intp: the factors' narrow tables would wrap
     weights = g2.order * g1.order ** np.arange(a2.size - 1, -1, -1, dtype=np.intp)
     p1, p2 = g1.array, g2.array
-    product = np.empty((len(bars), g2.order, len(bars), g2.order), dtype=np.intp)
+    product = np.empty((len(bars), g2.order, len(bars), g2.order), dtype=_index_dtype(order))
     for s in range(g2.order):
         # rows of (bar, s) for every bar: (f, s') |-> (a |-> bar(a) f(a . s), s s'),
         # the rank of the function part summed one coordinate a at a time

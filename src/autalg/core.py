@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field, fields
+from math import isqrt
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 DEFAULT_CAP = 1_000_000
 # the most cells a package construction may fill in one table: an order
 # far under DEFAULT_CAP can still need order^2 cells.  2**26 admits order
-# 8192 (512 MiB of np.intp) and refuses order 20,736 (3.4 GB)
+# 8192 (128 MiB of uint16) and refuses order 20,736 (860 MB)
 CELL_BUDGET = 2 ** 26
 
 
@@ -51,13 +52,24 @@ def _trusted(cls, *values):
     return obj
 
 
+def _index_dtype(order: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the indices 0..order-1:
+    uint8 up to order 256, uint16 up to 65,536.  Every table's ``array``
+    is stored in it, so equal tables have equal bytes."""
+    return np.min_scalar_type(order - 1)
+
+
+def _cells(order: int) -> str:
+    """The cells and bytes of a table of ``order`` elements."""
+    cells = order * order
+    return f"{cells} table cells ({cells * _index_dtype(order).itemsize} bytes)"
+
+
 def _check_cells(what: str, order: int) -> None:
     """Raise CapExceeded if a table of ``order`` elements would fill more
     than ``CELL_BUDGET`` cells."""
-    cells = order * order
-    if cells > CELL_BUDGET:
-        raise CapExceeded(f"{what} of order {order} needs {cells} table cells "
-                          f"({cells * np.dtype(np.intp).itemsize} bytes), over the "
+    if order * order > CELL_BUDGET:
+        raise CapExceeded(f"{what} of order {order} needs {_cells(order)}, over the "
                           f"budget of {CELL_BUDGET} cells")
 
 
@@ -293,7 +305,9 @@ def _grow_tree(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
         reached[level] = True
         parent[level], letter[level] = frontier[first // width], first % width
         levels.append(level)
-        frontier, candidates, width = level, product[level[:, None], gens].ravel(), len(gens)
+        # indices in np.intp: NumPy gathers by narrow index arrays several times slower
+        candidates = product[level[:, None], gens].ravel().astype(np.intp)
+        frontier, width = level, len(gens)
 
 
 def _generated_tree(product: np.ndarray, gens: Sequence[int]) -> _Tree:
@@ -318,8 +332,8 @@ def _fold_tree(right: np.ndarray, start: np.ndarray, tree: _Tree) -> np.ndarray:
         folded[:, e] == right[folded[:, parent[e]], letter[e]],
 
     and a root from ``start`` itself.  Columns off the tree are left
-    unset."""
-    folded = np.empty((len(start), len(tree.parent)), dtype=np.intp)
+    unset.  The result has ``right``'s dtype."""
+    folded = np.empty((len(start), len(tree.parent)), dtype=right.dtype)
     for k, nodes in enumerate(tree.levels):
         at = start[:, None] if k == 0 else folded[:, tree.parent[nodes]]
         folded[:, nodes] = right[at, tree.letter[nodes]]
@@ -345,6 +359,10 @@ def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
+# rows per block of Light's test: a table of order <= 256 is one block
+_LIGHT_ROWS = 256
+
+
 def _light_witness(product: np.ndarray,
                    gens: Sequence[int]) -> tuple[int, int, int] | None:
     """Light's associativity test: the first (x, g, y) with g in ``gens``
@@ -360,28 +378,36 @@ def _light_witness(product: np.ndarray,
     using a in A, b in A, a in A and b in A in turn.  So A is closed under
     the product; it contains the generators, hence every element.  The
     test costs O(n^2 |gens|) instead of O(n^3).
+
+    Each g is compared a block of ``_LIGHT_ROWS`` rows x at a time, in
+    order, so the temporaries stay small and the first block that differs
+    holds the same first (x, y) as a whole-table comparison.  The rows
+    are gathered by ``take``, which reads the narrow indices faster than
+    ``[]`` does.
     """
     for g in gens:
-        left = product[product[:, g]]   # left[x, y]  = (x g) y
-        right = product[:, product[g]]  # right[x, y] = x (g y)
-        if not np.array_equal(left, right):
-            x, y = np.argwhere(left != right)[0]
-            return int(x), g, int(y)
+        col, row = product[:, g], product[g]
+        for lo in range(0, len(product), _LIGHT_ROWS):
+            left = product.take(col[lo:lo + _LIGHT_ROWS], axis=0)    # left[x, y]  = (x g) y
+            right = product[lo:lo + _LIGHT_ROWS].take(row, axis=1)   # right[x, y] = x (g y)
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                return lo + int(x), g, int(y)
     return None
 
 
 def _square_table(product, n: int) -> np.ndarray:
-    """``product`` as a read-only n x n ``np.intp`` array.  An integer
-    array of that shape is range-checked on the array; anything else is
-    checked by ``as_table``.  A table that fails gets ``as_table``'s
-    message."""
+    """``product`` as a read-only n x n array of ``_index_dtype(n)``, a
+    copy.  An integer array of that shape is range-checked on the array,
+    before the cast, which would wrap; anything else is checked by
+    ``as_table``.  A table that fails gets ``as_table``'s message."""
     if (isinstance(product, np.ndarray) and product.shape == (n, n)
             and np.issubdtype(product.dtype, np.integer)):
-        array = product.astype(np.intp)
-        if array.min() < 0 or array.max() >= n:
-            as_table("product", array.tolist(), n, n, n)  # raises, naming the entry
+        if product.min() < 0 or product.max() >= n:
+            as_table("product", product.tolist(), n, n, n)  # raises, naming the entry
+        array = product.astype(_index_dtype(n))
     else:
-        array = np.array(as_table("product", product, n, n, n), dtype=np.intp)
+        array = np.array(as_table("product", product, n, n, n), dtype=_index_dtype(n))
     array.flags.writeable = False
     return array
 
@@ -452,10 +478,14 @@ class SemigroupTable:
 
     ``product`` is given as nested sequences of ints or as an n x n
     integer ndarray, and is stored once, as ``array``: a read-only n x n
-    ``np.intp`` array.  Reading ``product`` builds nested tuples of Python
-    ints from ``array`` on each access.  Tables compare and hash by value
-    over order, table, generators and names.  Construction also keeps
-    ``generating_set``, the distinct generators Light's test used.
+    array of the narrowest unsigned dtype for the order (``_index_dtype``:
+    uint8 up to order 256, uint16 up to 65,536), so equal tables hold
+    equal bytes.  Index arithmetic on it belongs in ``np.intp``: a narrow
+    array times a Python int stays narrow and wraps.  Reading ``product``
+    builds nested tuples of Python ints from ``array`` on each access.
+    Tables compare and hash by value over order, table, generators and
+    names.  Construction also keeps ``generating_set``, the distinct
+    generators Light's test used.
 
     The constructor validates input from outside, and everything that
     ``schema`` loads goes through it.  Tables and automata the package
@@ -538,8 +568,13 @@ class Closure:
 
 
 def _closure_cap(cap: int, found: int, length: int) -> CapExceeded:
-    return CapExceeded(f"closure exceeded cap {cap}: {found} elements found "
-                       f"by words of length {length}")
+    """The error for a search stopped at its ``found``-th element, by a
+    word of ``length``: past ``cap``, or else past the cell budget."""
+    where = f"{found} elements found by words of length {length}"
+    if found > cap:
+        return CapExceeded(f"closure exceeded cap {cap}: {where}")
+    return CapExceeded(f"closure exceeded the cell budget of {CELL_BUDGET} cells: "
+                       f"{where} need {_cells(found)}")
 
 
 def close_generators(generators: Sequence[Hashable],
@@ -574,8 +609,9 @@ def close_generators(generators: Sequence[Hashable],
     and need not be associative.  In the package,
     ``first_type.semigroupify`` closes under the associative pair product
     and checks the generator columns against its elements.
-    Raises CapExceeded, before the table is filled, if it would need
-    more than ``CELL_BUDGET`` cells.
+    Raises CapExceeded as soon as the search finds more elements than a
+    table of ``CELL_BUDGET`` cells holds, so a closure too large to
+    tabulate stops at that order, not at ``cap``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -586,10 +622,11 @@ def close_generators(generators: Sequence[Hashable],
     names: list[tuple[int, ...]] = []
     parent: list[int] = []
     letter_to_index: list[int] = []
+    limit = min(cap, isqrt(CELL_BUDGET))
     for i, g in enumerate(generators):
         found = index.get(g)
         if found is None:
-            if len(elements) >= cap:
+            if len(elements) >= limit:
                 raise _closure_cap(cap, len(elements) + 1, 1)
             found = len(elements)
             index[g] = found
@@ -607,7 +644,7 @@ def close_generators(generators: Sequence[Hashable],
                 p = multiply(e, elements[gi])
                 k = index.get(p)
                 if k is None:
-                    if len(elements) >= cap:
+                    if len(elements) >= limit:
                         raise _closure_cap(cap, len(elements) + 1, len(names[ei]) + 1)
                     k = index[p] = len(elements)
                     elements.append(p)
@@ -617,10 +654,9 @@ def close_generators(generators: Sequence[Hashable],
             right.append(row)
         bounds.append(len(elements))
     n = len(elements)
-    _check_cells("closure", n)
     tree = _Tree([np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
                  np.array(parent, dtype=np.intp), np.array([w[-1] for w in names], dtype=np.intp))
-    product = _fold_tree(np.array(right, dtype=np.intp), np.arange(n), tree)
+    product = _fold_tree(np.array(right, dtype=_index_dtype(n)), np.arange(n), tree)
     product.flags.writeable = False
     gens = tuple(letter_to_index)
     table = _trusted(SemigroupTable, n, gens, tuple(names), product, tuple(dict.fromkeys(gens)))
@@ -691,6 +727,13 @@ class CheckReport:
 Law = tuple[str, Sequence[Sequence[int]], "SemigroupTable | None"]
 
 
+def _narrow(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """A table of non-negative indices as an array of the narrowest
+    unsigned dtype that holds its largest entry."""
+    array = np.asarray(table)
+    return array.astype(_index_dtype(int(array.max()) + 1))
+
+
 def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
                laws: Sequence[Law]) -> CheckReport:
     """Verify laws of the form
@@ -732,19 +775,23 @@ def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
     When the generator pass finds a failure, or the carrier is not an
     action, each state row is scanned over all (g1, g2), in order, until
     the first violation.
+
+    Every table is read as a narrow array (``_narrow``), gathered by
+    ``take``, which reads narrow indices several times faster than
+    ``[]`` does.
     """
     prod = gamma.array
-    nxt = np.asarray(carrier, dtype=np.intp)
-    tables = [(name, nxt if out is carrier else np.asarray(out, dtype=np.intp),
+    nxt = _narrow(carrier)
+    tables = [(name, nxt if out is carrier else _narrow(out),
                None if combine is None else combine.array)
               for name, out, combine in laws]
     gens = np.array(gamma.generating_set, dtype=np.intp)
     cols = prod[:, gens]  # cols[g1, k] == g1 g_k
 
     def holds_on_generators(out: np.ndarray, combine: np.ndarray | None) -> bool:
-        right = out[:, gens][nxt]  # right[a, g1, k] == out[a . g1][g_k]
+        right = out[:, gens].take(nxt, axis=0)  # right[a, g1, k] == out[a . g1][g_k]
         rhs = right if combine is None else combine[out[:, :, None], right]
-        return np.array_equal(out[:, cols], rhs)
+        return np.array_equal(out.take(cols, axis=1), rhs)
 
     checks = [(out, combine) for _, out, combine in tables]
     if not any(out is nxt and combine is None for out, combine in checks):
@@ -755,8 +802,8 @@ def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
     for a, moved in enumerate(nxt):
         first = None
         for name, out, combine in tables:
-            lhs = out[a][prod]   # lhs[g1, g2] == out[a][g1 g2]
-            right = out[moved]   # right[g1, g2] == out[a . g1][g2]
+            lhs = out[a].take(prod)            # lhs[g1, g2] == out[a][g1 g2]
+            right = out.take(moved, axis=0)   # right[g1, g2] == out[a . g1][g2]
             rhs = right if combine is None else combine[out[a][:, None], right]
             bad = np.flatnonzero(lhs != rhs)
             if bad.size and (first is None or bad[0] < first[0]):

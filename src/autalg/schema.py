@@ -23,26 +23,33 @@ verdict or another message:
   where orjson raises ``TypeError`` (an int beyond 64 bits, a lone
   surrogate) or writes a byte above 0x7e: raw UTF-8 or DEL, where json
   writes ``\\u`` escapes.
-* ``load`` decodes ``read_text(encoding="utf-8")``, which keeps the UTF-8
-  message and json's error positions in CRLF files.  It falls back to
-  ``json.loads`` where orjson rejects the text (NaN, Infinity, 1e400, a
-  lone ``\\ud800``, any malformed file); where a loader check raises,
+* ``load`` hands the file's bytes to orjson, which checks the UTF-8
+  itself and rejects a byte order mark.  It falls back to
+  ``json.loads(read_text(encoding="utf-8"))`` where orjson rejects the
+  bytes (invalid UTF-8, a BOM, NaN, Infinity, 1e400, a lone
+  ``\\ud800``, any malformed file), so the UTF-8 message is
+  ``read_text``'s and json's error positions in CRLF files stay as they
+  were.  A CR, alone or before LF, is JSON whitespace outside strings and
+  is refused inside them, so ``read_text``'s newline translation changes
+  nothing orjson reads.  It also falls back where a loader check raises,
   since orjson reads an integer literal outside [-2**63, 2**64) as a
   float; and where a label is not a string, since labels are kept as
   ``str(x)`` and 10**30 would become "1e+30".  An error from an object's
   own constructor is final: a float reaches one only as a label.
-* orjson 3.8 recurses on the C stack with no limit, so a text with over
-  ``_ORJSON_BRACKETS`` opening brackets (a table of order above ~5,000)
-  goes to json.  Below that, nesting past json's recursion limit (~995
-  levels from the command line) in a key the loader ignores loads where
-  the installed orjson reads it, as 3.8 does; where orjson refuses it,
-  json's verdict, which hung on the caller's stack depth, stands.
+* orjson 3.8 recurses on the C stack with no limit, so a file with over
+  ``_ORJSON_BRACKETS`` opening brackets (a table of order above ~5,000),
+  counted on its bytes, goes to json.  Below that, nesting past json's
+  recursion limit (~995 levels from the command line) in a key the
+  loader ignores loads where the installed orjson reads it, as 3.8 does;
+  where orjson refuses it, json's verdict, which hung on the caller's
+  stack depth, stands.
 
-The reader turns a ``product`` into an array with one ``np.array`` call,
-whose dtype and shape reject floats, ``None``, strings, ints beyond
+The reader turns a ``product`` into an int64 array with one ``np.array``
+call, whose dtype and shape reject floats, ``None``, strings, ints beyond
 int64 and ragged rows, and type-tests the cells that are at most 1, the
 only ones where it can have taken a bool for an int.  Any other table
-gets the plain checks and their messages.
+gets the plain checks and their messages.  ``SemigroupTable`` range-checks
+the array and stores it in its order's narrow dtype.
 """
 
 from __future__ import annotations
@@ -93,8 +100,10 @@ def _int_table(value, where: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _int_array(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
-    """A list of equal-length rows of plain ints as one ``np.intp`` array;
-    any other table gets ``_int_table``'s checks and messages."""
+    """A list of equal-length rows of plain ints as one int64 array, not
+    range-checked: ``SemigroupTable`` checks it and narrows it to its
+    order's dtype.  Any other table gets ``_int_table``'s checks and
+    messages."""
     _expect(isinstance(value, list), where, "expected a list of rows")
     try:
         array = np.array(value)
@@ -105,7 +114,7 @@ def _int_array(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
         rows, cols = (array <= 1).nonzero()  # where np.array may have taken a bool for 0 or 1
         cells = map(list.__getitem__, map(value.__getitem__, rows.tolist()), cols.tolist())
         if set(map(type, cells)) <= {int}:
-            return array.astype(np.intp, copy=False)
+            return array
     return _int_table(value, where)
 
 
@@ -325,16 +334,20 @@ def _load_orjson(path: str | Path):
     """``load`` through orjson, or None where json may read the file
     differently (see the module docstring)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        if text.count("[") + text.count("{") <= _ORJSON_BRACKETS:
-            data = orjson.loads(text)
-            del text  # freed before validation, which allocates tables of its size
+        raw = Path(path).read_bytes()
+        # in UTF-8 these two bytes occur only as the brackets themselves
+        byte = np.frombuffer(raw, dtype=np.uint8)
+        brackets = np.count_nonzero(byte == ord("[")) + np.count_nonzero(byte == ord("{"))
+        if brackets <= _ORJSON_BRACKETS:
+            del byte  # a view that would keep raw alive
+            data = orjson.loads(raw)
+            del raw  # freed before validation, which allocates tables of its size
             if not _odd_label(data):
                 return load_object(data, where=str(path))
     except SchemaError as exc:
         if exc.__cause__ is not None:  # from an object's constructor: final
             raise
-    except (UnicodeDecodeError, orjson.JSONDecodeError, RecursionError):
+    except (orjson.JSONDecodeError, RecursionError):
         pass
     return None
 

@@ -46,7 +46,7 @@ from autalg import (
     to_universal,
     wreath_triple,
 )
-from autalg.core import as_table, bfs_order
+from autalg.core import _index_dtype, as_table, bfs_order
 from autalg.schema import SchemaError, dumps, load_object
 
 
@@ -227,6 +227,34 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
                 if table[ab][c] != table[a][table[b][c]]:
                     return False
     return True
+
+
+def light_witness_reference(product: np.ndarray,
+                            gens) -> tuple[int, int, int] | None:
+    """Light's test as it ran on whole ``np.intp`` tables, one n x n
+    comparison per generator: the reference for the blocked test on
+    narrow tables."""
+    for g in gens:
+        left = product[product[:, g]]   # left[x, y]  = (x g) y
+        right = product[:, product[g]]  # right[x, y] = x (g y)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            return int(x), g, int(y)
+    return None
+
+
+def light_witness_oracle(table: tuple[tuple[int, ...], ...],
+                         gens) -> tuple[int, int, int] | None:
+    """The first (x, g, y), g in ``gens`` then x then y in order, with
+    (x g) y != x (g y), by one lookup pair per triple; over every element
+    as ``gens`` this is the O(n^3) associativity scan."""
+    n = len(table)
+    for g in gens:
+        for x in range(n):
+            for y in range(n):
+                if table[table[x][g]][y] != table[x][table[g][y]]:
+                    return x, g, y
+    return None
 
 
 def _canonical_form(table: tuple[tuple[int, ...], ...]) -> tuple:
@@ -655,14 +683,15 @@ def _types(value):
 def assert_same_value(built, rebuilt) -> None:
     """``built`` and ``rebuilt`` hold the same value in every slot, of the
     same types down to each table entry (tuples of Python ints), tables as
-    read-only ``np.intp`` arrays; they compare, hash and dump alike."""
+    read-only arrays of their order's ``_index_dtype``; they compare, hash
+    and dump alike."""
     assert type(built) is type(rebuilt)
     for f in dataclasses.fields(built):
         a, b = getattr(built, f.name), getattr(rebuilt, f.name)
         if isinstance(a, SemigroupTable):
             assert_same_value(a, b)
         elif isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype == np.intp, f.name
+            assert a.dtype == b.dtype == _index_dtype(built.order), f.name
             assert not a.flags.writeable and not b.flags.writeable, f.name
             assert np.array_equal(a, b), f.name
         else:

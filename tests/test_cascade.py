@@ -4,6 +4,7 @@ import tracemalloc
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -156,12 +157,12 @@ class TestWreathSemigroup:
 
     def test_past_the_cell_budget_raises_before_building(self):
         # 12^3 * 12 = 20,736 elements, far under the default cap, but the
-        # table would hold 20,736^2 cells: 3.4 GB
+        # table would hold 20,736^2 cells: 860 MB of uint16
         m = load(Path(__file__).parent / "fixtures" / "first_semigroup_labels.json")
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded, match=r"^wreath product of order 20736 needs "
-                                                  r"429981696 table cells \(3439853568 bytes\), "
+                                                  r"429981696 table cells \(859963392 bytes\), "
                                                   r"over the budget of 67108864 cells$"):
                 wreath_product(m.gamma, m.states, m.next, m.gamma)
             peak = tracemalloc.get_traced_memory()[1]
@@ -199,6 +200,15 @@ class TestWreathSemigroup:
             w = wreath_product(g1, FiniteSet(points), action, g2)
             assert w.table.product == wreath_table_oracle(g1, points, action, g2)
         assert len(cases) > 20
+
+    def test_uint16_table_from_uint8_factors_matches_the_defining_formula(self):
+        # order 3^5 * 2 = 486 needs two bytes an entry; the factors' tables
+        # hold one, so the ranks must be summed wider than the factors
+        swap = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 4))
+        w = wreath_product(Z3, FiniteSet(5), swap, Z2)
+        dtypes = (Z3.array.dtype, Z2.array.dtype, w.table.array.dtype)
+        assert dtypes == (np.uint8, np.uint8, np.uint16)
+        assert w.table.product == wreath_table_oracle(Z3, 5, swap, Z2)
 
     def test_index_is_the_enumeration_rank(self):
         w = wreath_product(Z2, FiniteSet(2), ((0, 0, 0), (1, 1, 1)), Z3)

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autalg import (
@@ -24,6 +26,7 @@ from autalg import (
     identity_transformation,
     kernel_classes,
     multiply_pair,
+    wreath_product,
 )
 from autalg import core
 from autalg.core import as_table
@@ -33,6 +36,8 @@ from helpers import (
     assert_same_value,
     greedy_generators_oracle,
     is_generated_by,
+    light_witness_oracle,
+    light_witness_reference,
     naive_closure_table,
     revalidated,
     semigroups_up_to_iso,
@@ -189,7 +194,8 @@ class TestSemigroupTable:
     @given(st.lists(transformations(3), min_size=1, max_size=2))
     def test_keeps_its_validated_array(self, gens):
         table = close_generators(gens, compose_transformations).table
-        assert table.array.dtype == np.intp and not table.array.flags.writeable
+        assert table.array.dtype == core._index_dtype(table.order)
+        assert not table.array.flags.writeable
         assert table.array.tolist() == [list(r) for r in table.product]
         assert table.generating_set == tuple(dict.fromkeys(table.generators))
         again = SemigroupTable(table.order, table.product, table.generators, table.names)
@@ -235,6 +241,34 @@ class TestSemigroupTable:
     def test_entry_beyond_a_machine_integer_is_out_of_range(self):
         with pytest.raises(ValueError, match=rf"product\[0\]\[1\] = {10 ** 30} out of range"):
             SemigroupTable(2, ((0, 10 ** 30), (1, 0)))
+
+    def test_array_entries_are_range_checked_before_the_narrowing_cast(self):
+        # as uint8, 256 would read 0, -1 would read 255 and 2**64 - 1 would read 255
+        for entry, dtype in ((256, np.intp), (-1, np.intp), (2 ** 64 - 1, np.uint64)):
+            message = rf"^product\[1\]\[0\] = {entry} out of range 0\.\.1$"
+            with pytest.raises(ValueError, match=message):
+                SemigroupTable(2, np.array([[0, 1], [entry, 0]], dtype=dtype))
+
+
+class TestIndexDtype:
+    """Tables are stored in the narrowest unsigned dtype for their order."""
+
+    @pytest.mark.parametrize("order,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                             (65536, np.uint16), (65537, np.uint32)])
+    def test_boundaries_allocate_nothing(self, order, dtype):
+        tracemalloc.start()
+        try:
+            assert core._index_dtype(order) == dtype
+            assert core._cells(order) == (f"{order ** 2} table cells "
+                                          f"({order ** 2 * np.dtype(dtype).itemsize} bytes)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_order_one_is_one_byte(self):
+        table = SemigroupTable(1, ((0,),))
+        assert table.array.dtype == np.uint8 and table.array.tobytes() == b"\x00"
 
 
 ENTRIES = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.none(),
@@ -319,16 +353,37 @@ class TestCellBudget:
     def test_the_budget_admits_order_8192_and_no_more(self):
         core._check_cells("closure", 8192)
         with pytest.raises(CapExceeded, match=r"^closure of order 8193 needs 67125249 table "
-                                              r"cells \(537001992 bytes\), over the budget "
+                                              r"cells \(134250498 bytes\), over the budget "
                                               r"of 67108864 cells$"):
             core._check_cells("closure", 8193)
 
     def test_closure_checks_the_budget_before_filling(self, monkeypatch):
         monkeypatch.setattr(core, "CELL_BUDGET", 8)
         assert close_generators([Transformation((1, 0))], compose_transformations).table.order == 2
-        with pytest.raises(CapExceeded, match=r"^closure of order 3 needs 9 table cells "
-                                              r"\(72 bytes\), over the budget of 8 cells$"):
+        with pytest.raises(CapExceeded, match=r"^closure exceeded the cell budget of 8 cells: "
+                                              r"3 elements found by words of length 3 need "
+                                              r"9 table cells \(9 bytes\)$"):
             close_generators([Transformation((1, 2, 0))], compose_transformations)
+
+    def test_closure_search_stops_at_the_order_the_budget_admits(self, monkeypatch):
+        # T_3 has 27 elements, but a budget of 24 cells admits order 4: the
+        # search stops at its fifth element, after two products
+        monkeypatch.setattr(core, "CELL_BUDGET", 24)
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return compose_transformations(s, t)
+        gens = [Transformation((1, 2, 0)), Transformation((1, 0, 2)), Transformation((0, 0, 2))]
+        with pytest.raises(CapExceeded, match=r"^closure exceeded the cell budget of 24 cells: "
+                                              r"5 elements found by words of length 2 need "
+                                              r"25 table cells \(25 bytes\)$"):
+            close_generators(gens, counted)
+        assert len(calls) == 2
+        # a cap below the budget's order still names the cap
+        with pytest.raises(CapExceeded, match=r"^closure exceeded cap 3: 4 elements found "
+                                              r"by words of length 2$"):
+            close_generators(gens, compose_transformations, cap=3)
 
     def test_the_full_transformation_monoid_of_five_points_fits(self):
         gens = [Transformation((1, 2, 3, 4, 0)), Transformation((1, 0, 2, 3, 4)),
@@ -459,6 +514,39 @@ class TestLightAgainstOracle:
         assert _accepted(bad) == _is_associative(bad)
         assert _accepted(bad, table.generators) == (
             _is_associative(bad) and is_generated_by(bad, table.generators))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(transformations(3), min_size=1, max_size=3), st.data())
+    def test_blocked_narrow_witness_is_the_reference_witness(self, gens, data):
+        # one flipped entry anywhere, blocks of any height
+        table = close_generators(gens, compose_transformations).table
+        n = table.order
+        i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        bad = _corrupt(table.product, i, j, v)
+        narrow = np.array(bad, dtype=core._index_dtype(n))
+        rows = data.draw(st.integers(1, n + 1), label="rows")
+        with mock.patch.object(core, "_LIGHT_ROWS", rows):
+            for g in (table.generating_set, tuple(range(n))):
+                assert (core._light_witness(narrow, g)
+                        == light_witness_reference(narrow.astype(np.intp), g)
+                        == light_witness_oracle(bad, g))
+            assert (core._light_witness(narrow, tuple(range(n))) is None) == _is_associative(bad)
+
+    def test_uint16_tables_in_two_blocks_give_the_reference_witness(self):
+        # Z3 wr Z2 on 5 points: order 486, rows 0-255 and 256-485
+        z2, z3 = (SemigroupTable(k, [[(a + b) % k for b in range(k)] for a in range(k)])
+                  for k in (2, 3))
+        swap = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 4))
+        table = wreath_product(z3, FiniteSet(5), swap, z2).table
+        assert table.array.dtype == np.uint16 and table.order > core._LIGHT_ROWS
+        rng = Random(486)
+        for _ in range(6):
+            i, j, v = (rng.randrange(table.order) for _ in range(3))
+            bad = table.array.copy()
+            bad[i, j] = v
+            gens = table.generating_set
+            reference = light_witness_reference(bad.astype(np.intp), gens)
+            assert core._light_witness(bad, gens) == reference
 
     def test_witness_is_a_non_associative_triple(self):
         table = ((0, 1, 2), (1, 2, 0), (2, 0, 0))

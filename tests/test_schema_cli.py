@@ -25,13 +25,16 @@ from autalg import (
     PureAutomatonSecond,
     SemigroupAutomatonFirst,
     SemigroupTable,
+    Transformation,
     VerificationError,
     Word,
     close_generators,
+    compose_transformations,
     element_apply,
     element_compose,
     minimize_element,
     odometer,
+    semiautomaton,
     semigroupify,
     wreath_product,
     wreath_triple,
@@ -341,6 +344,24 @@ class TestTableCodec:
         assert again == obj
         assert dumps(again) == text
 
+    @pytest.mark.parametrize("order,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_tables_either_side_of_one_byte_round_trip(self, tmp_path, order, dtype):
+        if order == 256:  # T_4, the last order stored in one byte
+            gens = [Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3)),
+                    Transformation((0, 0, 2, 3))]
+            table = close_generators(gens, compose_transformations).table
+        else:  # Z_257
+            table = SemigroupTable(257, np.add.outer(np.arange(257), np.arange(257)) % 257, (1,))
+        m = semiautomaton(FiniteSet(1), table, ((0,) * order,))
+        text = dumps(m)
+        assert text == json.dumps(dump_object(m), indent=2, sort_keys=True) + "\n"
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        again = load(path)
+        assert again.gamma.array.dtype == table.array.dtype == dtype
+        assert again == m and hash(again.gamma) == hash(table)
+        assert dumps(again) == text
+
     @pytest.mark.parametrize("value", [
         [[1, 2], [3]], [[1, 2, 3], [4, 5], [6]],  # ragged rows
         [[], [1]], [[1], []], [[]], [[], []],  # empty rows
@@ -441,6 +462,18 @@ _SEMIGROUP = ('{"type": "first-semigroup", "states": {"size": 1}, "outputs": {"s
               '"semigroup": {"order": 2, "product": [[0, 1], [1, %s]], "generators": [%s]}, '
               '"next": [[0, 0]], "out": [[0, 0]]}')
 _BIG_INTS = {"2**64": str(2**64), "10**30": str(10**30), "-2**63-1": str(-2**63 - 1)}
+_UTF8_LABELS = ('{"type": "first-semigroup", '
+                '"states": {"size": 2, "labels": ["\u00e9", "\U0001f600"]}, '
+                '"outputs": {"size": 1, "labels": ["\u00fc"]}, '
+                '"semigroup": {"order": 2, "product": [[0, 1], [1, 0]], "generators": [1]}, '
+                '"next": [[0, 1], [1, 0]], "out": [[0, 0], [0, 0]]}')
+
+
+def _with_brackets(text: str, brackets: int) -> bytes:
+    """``text``, an object, with a "note" of empty lists that brings its
+    opening brackets to ``brackets``."""
+    pad = brackets - text.count("[") - text.count("{") - 1
+    return (text[:-1] + ', "note": [' + ", ".join(["[]"] * pad) + "]}").encode()
 
 READER_CASES = {
     **{f"{name}-{slot}": (template % value).encode()
@@ -465,6 +498,12 @@ READER_CASES = {
     "minus-zero-size": (_INT_FIELD % "-0").encode(),
     "non-associative":
         (_SEMIGROUP % (0, 0)).replace("[[0, 1], [1, 0]]", "[[1, 1], [0, 0]]").encode(),
+    # read as bytes: newlines, multi-byte labels and the bracket guard
+    "crlf-valid": (_SEMIGROUP % (0, 1)).replace(", ", ",\r\n  ").encode(),
+    "lone-cr-whitespace": (_SEMIGROUP % (0, 1)).replace(", ", ",\r").encode(),
+    "utf8-labels-beside-a-product": _UTF8_LABELS.encode(),
+    "brackets-at-the-guard": _with_brackets(_SEMIGROUP % (0, 1), _ORJSON_BRACKETS),
+    "brackets-past-the-guard": _with_brackets(_SEMIGROUP % (0, 1), _ORJSON_BRACKETS + 1),
 }
 
 
@@ -520,8 +559,8 @@ class TestReaderMatchesJson:
         except orjson.JSONDecodeError:
             reads = False
         if refused:
-            def loads(text):
-                raise orjson.JSONDecodeError("recursion limit reached", text, 0)
+            def loads(text):  # load passes bytes; the error's document is a str
+                raise orjson.JSONDecodeError("recursion limit reached", "", 0)
             monkeypatch.setattr(orjson, "loads", loads)
         if reads:
             assert load(path) == load(FIXTURES / "mealy_odometer.json")
@@ -529,6 +568,18 @@ class TestReaderMatchesJson:
             with pytest.raises(SchemaError, match=r": nested too deeply$"):
                 load(path)
         assert main(["check", str(path)]) == (0 if reads else 2)
+
+    @pytest.mark.parametrize("extra,reads", [(0, 1), (1, 0)], ids=["at", "past"])
+    def test_the_guard_counts_the_brackets_of_the_bytes(self, tmp_path, monkeypatch,
+                                                        extra, reads):
+        # multi-byte labels hold no bracket byte, so the count is exact
+        path = tmp_path / "guard.json"
+        path.write_bytes(_with_brackets(_UTF8_LABELS, _ORJSON_BRACKETS + extra))
+        calls = []
+        loads = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda raw: calls.append(raw) or loads(raw))
+        assert load(path).states.labels == ("\u00e9", "\U0001f600")
+        assert len(calls) == reads and all(type(raw) is bytes for raw in calls)
 
     def test_nesting_past_the_bracket_budget_is_read_by_json(self, tmp_path):
         # orjson 3.8 would recurse 100k levels on the C stack and crash
@@ -656,7 +707,7 @@ class TestConstructCommand:
         assert main(["construct", "wreath", labels, labels, "-o", str(out)]) == 2
         assert capsys.readouterr() == (
             "", "error: wreath product of order 20736 needs 429981696 table cells "
-                "(3439853568 bytes), over the budget of 67108864 cells\n")
+                "(859963392 bytes), over the budget of 67108864 cells\n")
         assert not out.exists()
 
     def test_cascade_pure(self, tmp_path):
