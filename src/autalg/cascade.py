@@ -103,7 +103,8 @@ def cascade_pure(m1: PureAutomatonFirst, m2: PureAutomatonFirst,
 
 def check_triple_morphism(t: CascadeTriplePure, t2: CascadeTriplePure,
                           mu: tuple[int, ...]) -> CheckReport:
-    """Does relabelling inputs by ``mu`` carry t's tables into t2's?
+    """Is relabelling inputs by ``mu`` a morphism of pure cascade triples,
+    carrying t's tables into t2's?
 
     Passes iff alpha(a2, x) == alpha2(a2, mu(x)) and beta(x) == beta2(mu(x)).
     """
@@ -188,7 +189,7 @@ def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirs
 
 def check_semigroup_triple_morphism(t: CascadeTripleSemigroup, t2: CascadeTripleSemigroup,
                                     mu: tuple[int, ...]) -> CheckReport:
-    """Is ``mu`` a morphism of semigroup triples (a homomorphism commuting
+    """Is ``mu`` a morphism of semigroup cascade triples (a homomorphism commuting
     with both alpha and beta)?"""
     if len(mu) != t.gamma.order:
         raise ValueError(f"mu has {len(mu)} entries for order {t.gamma.order}")

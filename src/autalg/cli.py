@@ -34,7 +34,7 @@ from .cascade import (
     wreath_automaton,
     wreath_product,  # noqa: F401  re-exported: the bench tracer wraps it here
 )
-from .core import CapExceeded, CheckReport, DEFAULT_CAP, VerificationError, Word
+from .core import CapExceeded, CheckReport, DEFAULT_CAP, NotInvertible, VerificationError, Word
 from .first_type import (
     PureAutomatonFirst,
     SemigroupAutomatonFirst,
@@ -62,7 +62,7 @@ from .second_type import (
     check_second_axioms,
     quotient_construct,
 )
-from .serial import NotInvertible, SerialConnection, check_serial, derive_second_type, serial_from_second
+from .serial import SerialConnection, check_serial, derive_second_type, serial_from_second
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field, fields
 from math import isqrt
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class VerificationError(RuntimeError):
 
     Raising this signals an internal inconsistency, not bad user input.
     """
+
+
+class NotInvertible(ValueError):
+    """A state's letter map is not a bijection, so the mapping has no inverse."""
+
+    def __init__(self, state: int, message: str):
+        super().__init__(message)
+        self.state = state
 
 
 def _trusted(cls, *values):
@@ -122,7 +130,8 @@ class FiniteSet:
 
 @dataclass(frozen=True, slots=True)
 class Transformation:
-    """A total self-map of {0, .., n-1}, written as its image sequence."""
+    """A total self-map of {0, .., n-1}, written as its image sequence: an
+    element of the full transformation semigroup S_A."""
 
     image: tuple[int, ...]
 
@@ -143,19 +152,10 @@ class Transformation:
         return self.image[i]
 
 
-def identity_transformation(n: int) -> Transformation:
-    return Transformation(tuple(range(n)))
-
-
-def all_transformations(n: int) -> Iterator[Transformation]:
-    """All n^n self-maps of {0, .., n-1}, in lexicographic order."""
-    for image in itertools.product(range(n), repeat=n):
-        yield Transformation(image)
-
-
 @dataclass(frozen=True, slots=True)
 class FunMap:
-    """A total map {0, .., n-1} -> {0, .., m-1} as its image sequence."""
+    """A total map {0, .., n-1} -> {0, .., m-1} as its image sequence: the
+    output part of an element of Fun(A,B)."""
 
     image: tuple[int, ...]
     codomain_size: int
@@ -178,14 +178,9 @@ class FunMap:
         return self.image[i]
 
 
-def all_funmaps(domain_size: int, codomain_size: int) -> Iterator[FunMap]:
-    for image in itertools.product(range(codomain_size), repeat=domain_size):
-        yield FunMap(image, codomain_size)
-
-
 @dataclass(frozen=True, slots=True)
 class PairElement:
-    """An element (sigma, phi) of the pair semigroup S_A x Fun(A,B).
+    """An element (sigma, phi) of the universal pair semigroup S_A x Fun(A,B).
 
     Multiplication is (s1, p1)(s2, p2) = (s1 s2, s1 p2): the state part
     composes left-first and the output part reads the second map after
@@ -203,7 +198,7 @@ class PairElement:
 
 
 def compose_transformations(s: Transformation, t: Transformation) -> Transformation:
-    """Product st under the right-action convention: apply s, then t."""
+    """Product st in S_A under the right-action convention: apply s, then t."""
     if s.domain_size != t.domain_size:
         raise ValueError(f"domain mismatch: {s.domain_size} vs {t.domain_size}")
     ti = t.image
@@ -211,7 +206,8 @@ def compose_transformations(s: Transformation, t: Transformation) -> Transformat
 
 
 def multiply_pair(p: PairElement, q: PairElement) -> PairElement:
-    """Multiply in S_A x Fun(A,B): (s1, p1)(s2, p2) = (s1 s2, s1 p2)."""
+    """Multiply in the universal pair semigroup S_A x Fun(A,B):
+    (s1, p1)(s2, p2) = (s1 s2, s1 p2)."""
     if p.sigma.domain_size != q.sigma.domain_size:
         raise ValueError(
             f"carrier mismatch: {p.sigma.domain_size} vs {q.sigma.domain_size} states")
@@ -247,13 +243,6 @@ class Word:
         if self.alphabet_size != other.alphabet_size:
             raise ValueError("alphabet mismatch")
         return Word(self.letters + other.letters, self.alphabet_size)
-
-
-def all_words(alphabet_size: int, max_len: int) -> Iterator[Word]:
-    """All words of length 1..max_len in shortlex order."""
-    for length in range(1, max_len + 1):
-        for letters in itertools.product(range(alphabet_size), repeat=length):
-            yield Word(letters, alphabet_size)
 
 
 def bfs_order(next_table: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -560,11 +549,11 @@ SemigroupTable.product = property(lambda self: tuple(map(tuple, self.array.tolis
 
 @dataclass(frozen=True, slots=True)
 class Closure:
-    """Result of closing a generator list under a binary operation."""
+    """Result of closing a generator list under a binary operation;
+    ``table.generators`` holds each generator's element index."""
 
     table: SemigroupTable
     elements: tuple
-    letter_to_index: tuple[int, ...]
 
 
 def _closure_cap(cap: int, found: int, length: int) -> CapExceeded:
@@ -660,15 +649,7 @@ def close_generators(generators: Sequence[Hashable],
     product.flags.writeable = False
     gens = tuple(letter_to_index)
     table = _trusted(SemigroupTable, n, gens, tuple(names), product, tuple(dict.fromkeys(gens)))
-    return Closure(table, tuple(elements), gens)
-
-
-def generate_semigroup(generators: Sequence[Hashable],
-                       multiply: Callable,
-                       cap: int = DEFAULT_CAP) -> SemigroupTable:
-    """The semigroup generated by ``generators`` as a multiplication table;
-    ``multiply`` must be associative (see ``close_generators``)."""
-    return close_generators(generators, multiply, cap).table
+    return Closure(table, tuple(elements))
 
 
 def evaluate_word(table: SemigroupTable, assignment: Sequence[int], word: Word) -> int:
@@ -682,17 +663,6 @@ def evaluate_word(table: SemigroupTable, assignment: Sequence[int], word: Word) 
     for letter in word.letters[1:]:
         e = prod[e, assignment[letter]]
     return int(e)
-
-
-def kernel_classes(alphabet_size: int, words_up_to: int,
-                   eval_word: Callable[[Word], int]) -> dict[int, list[Word]]:
-    """Group all words of length <= words_up_to by their image under
-    ``eval_word``; two words land in one class iff the homomorphism
-    identifies them."""
-    classes: dict[int, list[Word]] = {}
-    for w in all_words(alphabet_size, words_up_to):
-        classes.setdefault(eval_word(w), []).append(w)
-    return classes
 
 
 @dataclass(frozen=True, slots=True)

@@ -75,8 +75,9 @@ def check_first_axioms(m: SemigroupAutomatonFirst) -> CheckReport:
 
 
 def to_universal(m: PureAutomatonFirst) -> tuple[PairElement, ...]:
-    """The map input -> (sigma_x, phi_x) into S_A x Fun(A,B) that reads
-    each input's transition and output columns off the tables."""
+    """The map input -> (sigma_x, phi_x) into the universal pair semigroup
+    S_A x Fun(A,B) that reads each input's transition and output columns
+    off the tables."""
     pairs = []
     for x in range(m.inputs.size):
         sigma = Transformation(tuple(m.next[a][x] for a in range(m.states.size)))
@@ -127,7 +128,7 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     gens = [sigma + phi for sigma, phi in zip(zip(*m.next), zip(*m.out))]
     closure = close_generators(gens, partial(multiply_flat, size), cap)
     nxt, out = np.split(np.array(closure.elements, dtype=np.intp).T, [size])
-    cols = list(closure.letter_to_index)
+    cols = list(closure.table.generators)
     product = closure.table.array[:, cols]
     wrong = ((nxt[:, product] != nxt[:, cols][nxt])
              | (out[:, product] != out[:, cols][nxt])).any(axis=(1, 2))

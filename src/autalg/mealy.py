@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Word, _trusted, as_table, bfs_order
-from .serial import NotInvertible
+from .core import NotInvertible, Word, _trusted, as_table, bfs_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,15 +72,15 @@ def identity_element(alphabet: int = 2) -> MealyElement:
 
 
 def odometer() -> MealyElement:
-    """Adds one to a least-significant-bit-first binary word, truncated to
-    the word's length.  State 0 carries, state 1 copies."""
+    """The adding machine: adds one to a least-significant-bit-first binary
+    word, truncated to the word's length.  State 0 carries, state 1 copies."""
     m = MealyMachine(2, 2, next=((1, 0), (1, 1)), out=((1, 0), (0, 1)))
     return MealyElement(m, 0)
 
 
 def grigorchuk_machine() -> MealyMachine:
-    """The standard five-state binary machine with states a, b, c, d, e
-    (e is the identity state)."""
+    """The Grigorchuk group's standard five-state binary machine with states
+    a, b, c, d, e (e is the identity state)."""
     a, b, c, d, e = range(5)
     nxt = (
         (e, e),  # a
@@ -101,6 +100,7 @@ def grigorchuk_machine() -> MealyMachine:
 
 
 def grigorchuk_elements() -> dict[str, MealyElement]:
+    """The Grigorchuk group's generators a, b, c, d and the identity e."""
     m = grigorchuk_machine()
     return {name: MealyElement(m, q) for q, name in enumerate("abcde")}
 

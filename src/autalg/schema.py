@@ -55,6 +55,7 @@ the array and stores it in its order's narrow dtype.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -291,19 +292,35 @@ _ATTRIBUTE = {"semigroup": "gamma"}
 
 # orjson 3.8 overflows the C stack at a few ten thousand nested objects
 _ORJSON_BRACKETS = 10_000
+# DEL and whole UTF-8 sequences: every byte of a multi-byte one is >= 0x80
+_RAW = re.compile(rb"[\x7f-\xff]+")
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
                    | orjson.OPT_APPEND_NEWLINE)
 
 
+def _raw(text: bytes) -> bool:
+    """Does ``text`` hold DEL or non-ASCII bytes, which json writes escaped?"""
+    return not text.isascii() or b"\x7f" in text
+
+
+def _escaped(run: re.Match) -> bytes:
+    return json.dumps(run.group().decode())[1:-1].encode()
+
+
 def _text(data) -> str:
-    """``json.dumps(_lists(data), indent=2, sort_keys=True) + "\\n"``."""
+    """``json.dumps(_lists(data), indent=2, sort_keys=True) + "\\n"``.
+
+    orjson writes DEL and non-ASCII code points raw, json as \\u escapes;
+    only those runs, which lie inside strings, are re-encoded by json."""
     try:
         text = orjson.dumps(data, option=_ORJSON_OPTIONS)
-        if text.isascii() and b"\x7f" not in text:  # json writes both as \u escapes
-            return text.decode()
     except TypeError:  # an int beyond 64 bits, a lone surrogate
-        pass
-    return json.dumps(_lists(data), indent=2, sort_keys=True) + "\n"
+        return json.dumps(_lists(data), indent=2, sort_keys=True) + "\n"
+    if _raw(text):
+        # only strings hold such runs, so the pieces between quotes that do are short
+        text = b'"'.join(_RAW.sub(_escaped, piece) if _raw(piece) else piece
+                         for piece in text.split(b'"'))
+    return text.decode()
 
 
 def dumps(obj) -> str:

@@ -65,15 +65,9 @@ def check_second_axioms(m: SemigroupAutomatonSecond) -> CheckReport:
         ("accumulation law a*(g1 g2) == (a*g1)((a.g1)*g2)", m.out, m.sigma)])
 
 
-def act_letters(m: PureAutomatonSecond, a: int, letters: tuple[int, ...]) -> int:
-    """State after reading ``letters`` from state ``a``."""
-    for x in letters:
-        a = m.next[a][x]
-    return a
-
-
 def free_extension_out(m: PureAutomatonSecond, a: int, u: Word) -> Word:
-    """Accumulated output word of the run of ``u`` from ``a``.
+    """Accumulated output word of the run of ``u`` from ``a``: the output
+    map of the free extension.
 
     Letter k of the result is the output at the state reached after k
     letters, so for any split u = u1 u2 the result is the output of u1

@@ -14,17 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CheckReport, FiniteSet, SemigroupTable, Word, _trusted, as_table, bfs_order, check_laws
+from .core import (CheckReport, FiniteSet, NotInvertible, SemigroupTable, Word, _trusted, as_table,
+                   bfs_order, check_laws)
 from .first_type import SemigroupAutomatonFirst
 from .second_type import PureAutomatonSecond, SemigroupAutomatonSecond, free_extension_out
-
-
-class NotInvertible(ValueError):
-    """A state's letter map is not a bijection, so decoding is impossible."""
-
-    def __init__(self, state: int, message: str):
-        super().__init__(message)
-        self.state = state
 
 
 def semiautomaton(states: FiniteSet, gamma: SemigroupTable,
@@ -83,7 +76,8 @@ def check_serial(s: SerialConnection) -> CheckReport:
 
 
 def serial_action(s: SerialConnection, a: int, b: int, g: int) -> tuple[int, int]:
-    """One step of the joint action: (a, b) . g == (a . g, b . alpha(a, g))."""
+    """One step of the serial connection's joint action on A x B:
+    (a, b) . g == (a . g, b . alpha(a, g))."""
     if not 0 <= a < s.first.states.size:
         raise ValueError(f"first state {a} out of range")
     if not 0 <= b < s.second.states.size:
@@ -111,8 +105,8 @@ def serial_from_second(m: SemigroupAutomatonSecond) -> SerialConnection:
 
 @dataclass(frozen=True, slots=True)
 class AutomatonMapping:
-    """A letter-to-word machine pinned at a start state: the map sending
-    each input word to the output word of its run."""
+    """An automaton mapping: a letter-to-word machine pinned at a start
+    state, sending each input word to the output word of its run."""
 
     base: PureAutomatonSecond
     state: int
@@ -123,13 +117,9 @@ class AutomatonMapping:
 
 
 def apply_mapping(f: AutomatonMapping, u: Word) -> Word:
-    """The image of ``u``: length-preserving and prefix-compatible, but not
-    a homomorphism of words in general."""
+    """The image of ``u`` under the automaton mapping: length-preserving and
+    prefix-compatible, but not a homomorphism of words in general."""
     return free_extension_out(f.base, f.state, u)
-
-
-def reachable_states(base: PureAutomatonSecond, start: int) -> frozenset[int]:
-    return frozenset(bfs_order(base.next, start))
 
 
 def _letter_inverses(base: PureAutomatonSecond, start: int) -> tuple[tuple[int, ...] | None, ...]:
@@ -139,7 +129,7 @@ def _letter_inverses(base: PureAutomatonSecond, start: int) -> tuple[tuple[int, 
         raise NotInvertible(start, f"letter map at state {start} cannot be a bijection: "
                             f"{base.inputs.size} inputs vs {base.outputs.size} outputs")
     inverses: list[tuple[int, ...] | None] = [None] * base.states.size
-    for a in sorted(reachable_states(base, start)):
+    for a in sorted(bfs_order(base.next, start)):
         inv = [-1] * base.outputs.size
         for x in range(base.inputs.size):
             y = base.out[a][x]
@@ -152,7 +142,8 @@ def _letter_inverses(base: PureAutomatonSecond, start: int) -> tuple[tuple[int, 
 
 
 def decode_mapping(f: AutomatonMapping, w: Word) -> Word:
-    """The unique input word mapping to ``w``, found prefix by prefix.
+    """The inverse automaton mapping: the unique input word mapping to
+    ``w``, found prefix by prefix.
 
     Requires the letter map to be a bijection at every state reachable
     from f.state (NotInvertible reports the first offender).

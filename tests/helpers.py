@@ -14,12 +14,14 @@ from collections import deque
 from functools import lru_cache
 from pathlib import Path
 from random import Random
+from typing import Callable, Iterator
 
 import numpy as np
 
 from autalg import (
     Closure,
     FiniteSet,
+    FunMap,
     GeneratorHom,
     MealyElement,
     MealyMachine,
@@ -33,7 +35,6 @@ from autalg import (
     VerificationError,
     Word,
     WreathElement,
-    all_words,
     check_second_axioms,
     check_semigroup_triple_morphism,
     close_generators,
@@ -100,6 +101,48 @@ def random_mealy(rng: Random, states: int, alphabet: int,
         out = tuple(tuple(rng.randrange(alphabet) for _ in range(alphabet))
                     for _ in range(states))
     return MealyMachine(states, alphabet, nxt, out)
+
+
+# --- naive enumerators -----------------------------------------------
+
+def identity_transformation(n: int) -> Transformation:
+    return Transformation(tuple(range(n)))
+
+
+def all_transformations(n: int) -> Iterator[Transformation]:
+    """All n^n self-maps of {0, .., n-1}, in lexicographic order."""
+    for image in itertools.product(range(n), repeat=n):
+        yield Transformation(image)
+
+
+def all_funmaps(domain_size: int, codomain_size: int) -> Iterator[FunMap]:
+    for image in itertools.product(range(codomain_size), repeat=domain_size):
+        yield FunMap(image, codomain_size)
+
+
+def all_words(alphabet_size: int, max_len: int) -> Iterator[Word]:
+    """All words of length 1..max_len in shortlex order."""
+    for length in range(1, max_len + 1):
+        for letters in itertools.product(range(alphabet_size), repeat=length):
+            yield Word(letters, alphabet_size)
+
+
+def kernel_classes(alphabet_size: int, words_up_to: int,
+                   eval_word: Callable[[Word], int]) -> dict[int, list[Word]]:
+    """Group all words of length <= words_up_to by their image under
+    ``eval_word``; two words land in one class iff the homomorphism
+    identifies them."""
+    classes: dict[int, list[Word]] = {}
+    for w in all_words(alphabet_size, words_up_to):
+        classes.setdefault(eval_word(w), []).append(w)
+    return classes
+
+
+def act_letters(m: PureAutomatonSecond, a: int, letters: tuple[int, ...]) -> int:
+    """State after reading ``letters`` from state ``a``."""
+    for x in letters:
+        a = m.next[a][x]
+    return a
 
 
 # --- independent oracles ----------------------------------------------

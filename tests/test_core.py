@@ -1,6 +1,10 @@
+import ast
 import dataclasses
+import importlib
 import itertools
 import tracemalloc
+import types
+from pathlib import Path
 from random import Random
 from unittest import mock
 
@@ -17,14 +21,9 @@ from autalg import (
     SemigroupTable,
     Transformation,
     Word,
-    all_funmaps,
-    all_transformations,
     close_generators,
     compose_transformations,
     evaluate_word,
-    generate_semigroup,
-    identity_transformation,
-    kernel_classes,
     multiply_pair,
     wreath_product,
 )
@@ -32,10 +31,14 @@ from autalg import core
 from autalg.core import as_table
 from helpers import (
     _is_associative,
+    all_funmaps,
+    all_transformations,
     as_table_oracle,
     assert_same_value,
     greedy_generators_oracle,
+    identity_transformation,
     is_generated_by,
+    kernel_classes,
     light_witness_oracle,
     light_witness_reference,
     naive_closure_table,
@@ -294,16 +297,16 @@ class TestAsTable:
 
 class TestGenerateSemigroup:
     def test_swap_generates_order_two(self):
-        table = generate_semigroup([Transformation((1, 0))], compose_transformations)
+        table = close_generators([Transformation((1, 0))], compose_transformations).table
         assert table.order == 2
         assert table.names == ((0,), (0, 0))
 
     def test_constant_is_idempotent(self):
-        table = generate_semigroup([Transformation((0, 0))], compose_transformations)
+        table = close_generators([Transformation((0, 0))], compose_transformations).table
         assert table.order == 1
 
     def test_three_cycle_generates_cyclic_three(self):
-        table = generate_semigroup([Transformation((1, 2, 0))], compose_transformations)
+        table = close_generators([Transformation((1, 2, 0))], compose_transformations).table
         assert table.order == 3
         # cyclic: g^(i+1) * g^(j+1) = g^(i+j+2), indices follow discovery order
         for i in range(3):
@@ -313,22 +316,22 @@ class TestGenerateSemigroup:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded, match=r"^closure exceeded cap 2: 3 elements "
                                               r"found by words of length 3$"):
-            generate_semigroup([Transformation((1, 2, 0))], compose_transformations, cap=2)
+            close_generators([Transformation((1, 2, 0))], compose_transformations, cap=2)
         with pytest.raises(CapExceeded, match=r"^closure exceeded cap 1: 2 elements "
                                               r"found by words of length 1$"):
-            generate_semigroup([Transformation((1, 0)), Transformation((0, 0))],
-                               compose_transformations, cap=1)
+            close_generators([Transformation((1, 0)), Transformation((0, 0))],
+                             compose_transformations, cap=1)
 
     def test_full_transformation_semigroup_of_two_points(self):
         gens = list(all_transformations(2))
-        table = generate_semigroup(gens, compose_transformations)
+        table = close_generators(gens, compose_transformations).table
         assert table.order == 4
 
     def test_duplicate_generators_collapse(self):
         swap = Transformation((1, 0))
         closure = close_generators([swap, swap], compose_transformations)
         assert closure.table.order == 2
-        assert closure.letter_to_index == (0, 0)
+        assert closure.table.generators == (0, 0)
 
     def test_names_are_shortlex_least(self):
         # two generators: a swap and the identity; identity words never
@@ -345,7 +348,7 @@ class TestGenerateSemigroup:
         # closure is not re-checked, so the validating constructor does it
         assert_same_value(table, revalidated(table))
         assert table.order <= 27
-        for li, gi in zip(range(len(gens)), closure.letter_to_index):
+        for li, gi in zip(range(len(gens)), closure.table.generators):
             assert closure.elements[gi] == gens[li] or gens.index(gens[li]) < li
 
 
@@ -559,13 +562,13 @@ class TestLightAgainstOracle:
 
 class TestKernelClasses:
     def test_swap_classes_up_to_three(self):
-        table = generate_semigroup([Transformation((1, 0))], compose_transformations)
+        table = close_generators([Transformation((1, 0))], compose_transformations).table
         classes = kernel_classes(1, 3, lambda w: evaluate_word(table, (0,), w))
         by_letters = {k: sorted(w.letters for w in v) for k, v in classes.items()}
         assert by_letters == {0: [(0,), (0, 0, 0)], 1: [(0, 0)]}
 
     def test_idempotent_generator_single_class(self):
-        table = generate_semigroup([Transformation((0, 0))], compose_transformations)
+        table = close_generators([Transformation((0, 0))], compose_transformations).table
         classes = kernel_classes(1, 3, lambda w: evaluate_word(table, (0,), w))
         assert len(classes) == 1
         assert sorted(len(w) for w in classes[0]) == [1, 2, 3]
@@ -587,7 +590,7 @@ class TestKernelClasses:
             return Transformation(tuple(image))
 
         gens = [append_letter(0), append_letter(1)]
-        table = generate_semigroup(gens, compose_transformations)
+        table = close_generators(gens, compose_transformations).table
         assignment = (0, 1)
         classes = kernel_classes(2, bound, lambda w: evaluate_word(table, assignment, w))
         assert all(len(v) == 1 for v in classes.values())
@@ -605,3 +608,59 @@ class TestWord:
 
     def test_concatenation(self):
         assert (Word((0,), 2) + Word((1, 1), 2)).letters == (0, 1, 1)
+
+
+class TestPublicSurface:
+    """``autalg`` exports what a verb runs, the paper's notions and what the
+    fixture script builds from; test-only enumerators live in ``helpers``."""
+
+    EXPORTED = [
+        "AutomatonMapping", "CapExceeded", "CascadeTriplePure", "CascadeTripleSemigroup",
+        "CheckReport", "Closure", "FiniteSet", "FunMap", "GeneratorHom", "MealyElement",
+        "MealyMachine", "NotInvertible", "OrderResult", "PairElement", "PureAutomatonFirst",
+        "PureAutomatonSecond", "QuotientWitness", "Run", "SemigroupAutomatonFirst",
+        "SemigroupAutomatonSecond", "SemigroupTable", "SerialConnection", "Transformation",
+        "VerificationError", "Word", "WreathElement", "WreathProduct", "act_word",
+        "apply_mapping", "cascade_pure", "cascade_semigroup", "check_first_axioms",
+        "check_pure_triple", "check_second_axioms", "check_semigroup_triple",
+        "check_semigroup_triple_morphism", "check_serial", "check_triple_morphism",
+        "close_generators", "compose_transformations", "decode_mapping", "derive_second_type",
+        "element_apply", "element_compose", "element_equal", "element_invert",
+        "element_order_bounded", "embed_into_wreath", "evaluate_word", "first_difference",
+        "free_extension_out", "grigorchuk_elements", "grigorchuk_machine", "identity_element",
+        "is_invertible", "minimize_element", "multiply_pair", "odometer", "quotient_construct",
+        "semiautomaton", "semigroupify", "serial_action", "serial_from_second", "to_universal",
+        "wreath_automaton", "wreath_product", "wreath_triple",
+    ]
+    # name -> the module it was defined in before it moved to the tests or was deleted
+    GONE = {
+        "all_funmaps": "core", "all_transformations": "core", "all_words": "core",
+        "generate_semigroup": "core", "identity_transformation": "core",
+        "kernel_classes": "core", "act_letters": "second_type", "reachable_states": "serial",
+    }
+
+    def test_exported_names_are_pinned(self):
+        import autalg
+        exported = sorted(name for name, value in vars(autalg).items()
+                          if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        assert exported == self.EXPORTED
+
+    def test_moved_and_deleted_names_are_gone(self):
+        import autalg
+        for name, module in self.GONE.items():
+            assert not hasattr(autalg, name), name
+            assert not hasattr(importlib.import_module(f"autalg.{module}"), name), name
+        assert "letter_to_index" not in {f.name for f in dataclasses.fields(core.Closure)}
+
+    def test_kernels_import_from_their_modules_only(self):
+        import autalg
+        from autalg.cascade import product_set
+        assert core.check_laws and product_set
+        assert not hasattr(autalg, "check_laws") and not hasattr(autalg, "product_set")
+
+    def test_mealy_imports_only_core(self):
+        import autalg.mealy
+        tree = ast.parse(Path(autalg.mealy.__file__).read_text())
+        assert {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level} == {"core"}
+        assert autalg.NotInvertible.__module__ == "autalg.core"

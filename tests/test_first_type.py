@@ -19,7 +19,7 @@ from autalg import (
 )
 from autalg.first_type import multiply_flat
 from autalg.schema import dumps
-from helpers import random_pure_first, semigroupify_oracle
+from helpers import all_words, random_pure_first, semigroupify_oracle
 
 
 def pure_first(a, x, b):
@@ -203,7 +203,7 @@ class TestActWord:
             m = random_pure_first(rng, 2, 2, 2)
             sg = semigroupify(m)
             gens = sg.gamma.generators
-            for w in _words_up_to(2, 5):
+            for w in all_words(2, 5):
                 run = act_word(m, 0, w)
                 assert run == act_word(sg, 0, w)
                 g = evaluate_word(sg.gamma, gens, w)
@@ -213,8 +213,3 @@ class TestActWord:
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             act_word(SWAP, 0, Word((0,), 2))
-
-
-def _words_up_to(alphabet, bound):
-    from autalg import all_words
-    return all_words(alphabet, bound)

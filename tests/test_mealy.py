@@ -9,7 +9,6 @@ from autalg import (
     MealyMachine,
     NotInvertible,
     Word,
-    all_words,
     element_apply,
     element_compose,
     element_equal,
@@ -25,6 +24,7 @@ from autalg import (
 from autalg.mealy import _bisimulation_blocks, _minimal, _reachable_product
 from autalg.schema import dumps
 from helpers import (
+    all_words,
     blocks_reference,
     equal_oracle,
     minimize_oracle,

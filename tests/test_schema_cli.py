@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -39,6 +41,7 @@ from autalg import (
     wreath_product,
     wreath_triple,
 )
+from autalg import cli
 from autalg.cli import CommandResult, main, parse_word
 from autalg.dot import to_dot
 from autalg.schema import (
@@ -187,6 +190,17 @@ class TestRoundTrip:
         max_leaves=8))
     def test_writer_matches_json_dumps(self, value):
         assert _text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+    def test_labels_are_escaped_without_writing_the_table_by_json(self):
+        # json is handed only the runs it escapes, never the table: a
+        # labelled wreath of order 6144 went through json as 37.7 M Python
+        # ints and ran out of memory under a 3 GB address-space limit
+        value = {"labels": ["\u00e9", "a\x7f\"", "\U0001f600\\"],
+                 "product": np.arange(90_000, dtype=np.uint16).reshape(300, 300)}
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as spy:
+            text = _text(value)
+        assert text == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+        assert {type(call.args[0]) for call in spy.call_args_list} == {str}
 
     @settings(max_examples=1000, deadline=None)
     @given(st.sampled_from(MUTATION_SITES),
@@ -1169,6 +1183,71 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 0"
+
+
+# runs ``cli.main`` on every argv list read from stdin, under a 3 GB
+# address-space limit on this interpreter alone; prints the exit codes
+# and every call that raised, exited outside 0/1/2 or ran out of memory
+SWEEP_CHILD = """
+import contextlib, io, json, os, resource, sys
+from collections import Counter
+from autalg.cli import main
+sink = open(os.devnull, "w")
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+codes, bad = Counter(), []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except (Exception, SystemExit) as exc:  # main returns its exit code, raising nothing
+        code = repr(exc)
+    codes[str(code)] += 1
+    if code not in (0, 1, 2) or "out of memory" in err.getvalue():
+        bad.append([argv, code, err.getvalue()])
+print(json.dumps({"codes": codes, "bad": bad}))
+"""
+
+ODD_WORDS = [["0"], ["01"], ["0", "1", "1"], ["00", "11"], ["2"], ["-1"], ["x"], [""], [" "],
+             ["\u0663"], ["1.5"], ["9" * 30], ["0" * 200], ["--"]]
+GROUP_VERBS = {"compose", "invert", "equal", "order", "minimize"}
+
+
+def sweep_calls(rng: Random, per_verb: int) -> list[list[str]]:
+    """Every verb on fixtures of its arity, each file tuple of an arity
+    above one sampled ``per_verb`` times, and ``group apply`` on odd words."""
+    files = [str(p) for p in sorted(FIXTURES.glob("*.json"))]
+    triples = [f for f in files if "cascade_triple" in f]
+
+    def tuples(k: int) -> list[list[str]]:
+        if k == 1:
+            return [[f] for f in files]
+        return [[rng.choice(files) for _ in range(k)] for _ in range(per_verb)]
+    calls = [["check", *t] for t in tuples(1)]
+    calls += [["check", *t, "--max-len", "3"] for t in tuples(1)]
+    calls += [["check", rng.choice(triples), "--components", *t] for t in tuples(2)]
+    for verb, arity in cli._ARITY.items():
+        command = "group" if verb in GROUP_VERBS else "construct"
+        calls += [[command, verb, *t] for t in tuples(arity)]
+    calls += [["group", "apply", rng.choice(files), *rng.choice(ODD_WORDS)]
+              for _ in range(per_verb)]
+    # order 20,736 fits the element cap; its table is refused by the cell budget
+    labels = str(FIXTURES / "first_semigroup_labels.json")
+    return calls + [["construct", "wreath", labels, labels]]
+
+
+def test_exit_code_contract_sweep():
+    calls = sweep_calls(Random(6), 128)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SWEEP_CHILD], input=json.dumps(calls),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["bad"] == []
+    assert sum(result["codes"].values()) == len(calls)
 
 
 DOT_PINS = {

@@ -15,15 +15,13 @@ from autalg import (
     SemigroupAutomatonSecond,
     SemigroupTable,
     Word,
-    act_letters,
-    all_words,
     check_second_axioms,
     evaluate_word,
     free_extension_out,
     quotient_construct,
 )
 from autalg.mealy import odometer
-from helpers import quotient_oracle, random_closure, random_pure_second
+from helpers import act_letters, all_words, quotient_oracle, random_closure, random_pure_second
 
 Z2 = SemigroupTable(2, ((0, 1), (1, 0)))
 LEFT_ZERO = SemigroupTable(2, ((0, 0), (1, 1)))
@@ -194,7 +192,7 @@ class TestQuotientConstruct:
         points = data.draw(st.integers(1, 4), label="states")
         rng = Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
         closure = random_closure(rng, rng.randint(1, 2), 30, points=points)
-        mu = _hom_repeating_images(rng, closure.table, closure.letter_to_index)
+        mu = _hom_repeating_images(rng, closure.table, closure.table.generators)
         # outputs 0..points: nu maps them onto the right-zero semigroup
         # (s t == t), so a word's output image is its last output letter
         right_zero = SemigroupTable(points + 1, [list(range(points + 1))] * (points + 1))
@@ -236,7 +234,7 @@ def _hom_repeating_images(rng: Random, table: SemigroupTable, images) -> Generat
 
 def _hom_from_closure(rng: Random, alphabet: int, max_order: int) -> GeneratorHom:
     closure = random_closure(rng, alphabet, max_order)
-    return GeneratorHom(alphabet, closure.table, closure.letter_to_index)
+    return GeneratorHom(alphabet, closure.table, closure.table.generators)
 
 
 def _brute_force_compatible(m: PureAutomatonSecond, mu: GeneratorHom,

@@ -14,7 +14,6 @@ from autalg import (
     SemigroupTable,
     SerialConnection,
     Word,
-    all_words,
     apply_mapping,
     check_second_axioms,
     check_serial,
@@ -26,7 +25,7 @@ from autalg import (
     serial_from_second,
 )
 from autalg.mealy import odometer
-from helpers import random_mealy, random_pure_second
+from helpers import all_words, random_mealy, random_pure_second
 
 Z2 = SemigroupTable(2, ((0, 1), (1, 0)))
 TRIVIAL = SemigroupTable(1, ((0,),))
@@ -228,4 +227,4 @@ def _random_valid_serial(rng: Random) -> SerialConnection:
 def _closure_hom(rng: Random, alphabet: int) -> GeneratorHom:
     from helpers import random_closure
     closure = random_closure(rng, alphabet, 3)
-    return GeneratorHom(alphabet, closure.table, closure.letter_to_index)
+    return GeneratorHom(alphabet, closure.table, closure.table.generators)

@@ -131,7 +131,7 @@ class TestAutomata:
         rng = Random(seed)
         while True:
             m = random_pure_second(rng, rng.randint(1, 3), 2, 2)
-            mu, nu = (GeneratorHom(2, c.table, c.letter_to_index)
+            mu, nu = (GeneratorHom(2, c.table, c.table.generators)
                       for c in (random_closure(rng, 2, 6) for _ in range(2)))
             q = quotient_construct(m, mu, nu)
             if isinstance(q, SemigroupAutomatonSecond):
