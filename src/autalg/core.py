@@ -67,6 +67,23 @@ def _index_dtype(order: int) -> np.dtype:
     return np.min_scalar_type(order - 1)
 
 
+def _byte_rows(rows) -> np.ndarray | None:
+    """Equal-length, non-empty list or tuple rows of ints in 0..255 as a
+    read-only uint8 array, else None.  ``bytearray`` type-checks and
+    converts the cells in C, taking a bool as 0 or 1, with no object per
+    row.  Ragged rows are refused, since they could still reshape."""
+    if not (isinstance(rows, (list, tuple)) and rows and set(map(type, rows)) <= {list, tuple}
+            and set(map(len, rows)) == {len(rows[0])} and rows[0]):
+        return None
+    try:
+        data = bytearray(itertools.chain.from_iterable(rows))
+    except (TypeError, ValueError):
+        return None
+    array = np.frombuffer(data, np.uint8).reshape(len(rows), -1)
+    array.flags.writeable = False
+    return array
+
+
 def _cells(order: int) -> str:
     """The cells and bytes of a table of ``order`` elements."""
     cells = order * order
@@ -699,9 +716,13 @@ Law = tuple[str, Sequence[Sequence[int]], "SemigroupTable | None"]
 
 def _narrow(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """A table of non-negative indices as an array of the narrowest
-    unsigned dtype that holds its largest entry."""
-    array = np.asarray(table)
-    return array.astype(_index_dtype(int(array.max()) + 1))
+    unsigned dtype that holds its largest entry: ``_byte_rows`` where it
+    applies."""
+    array = _byte_rows(table)
+    if array is None:
+        array = np.asarray(table)
+        array = array.astype(_index_dtype(int(array.max()) + 1))
+    return array
 
 
 def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],

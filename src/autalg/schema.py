@@ -44,12 +44,12 @@ verdict or another message:
   where orjson refuses it, json's verdict, which hung on the caller's
   stack depth, stands.
 
-The reader turns a ``product`` into an int64 array with one ``np.array``
-call, whose dtype and shape reject floats, ``None``, strings, ints beyond
-int64 and ragged rows, and type-tests the cells that are at most 1, the
-only ones where it can have taken a bool for an int.  Any other table
-gets the plain checks and their messages.  ``SemigroupTable`` range-checks
-the array and stores it in its order's narrow dtype.
+The reader turns a ``product`` into one array: ``core._byte_rows`` reads
+entries in 0..255 by ``bytearray``, ``np.array`` any others.  Both refuse
+floats, ``None``, strings and ragged rows and take a bool for 0 or 1, so
+the cells that are at most 1 are type-tested.  Any other table gets the
+plain checks and their messages.  ``SemigroupTable`` range-checks the
+array and stores it in its order's narrow dtype.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 import orjson
 
 from .cascade import CascadeTriplePure, CascadeTripleSemigroup
-from .core import FiniteSet, SemigroupTable
+from .core import FiniteSet, SemigroupTable, _byte_rows
 from .first_type import PureAutomatonFirst, SemigroupAutomatonFirst
 from .mealy import MealyElement, MealyMachine
 from .second_type import GeneratorHom, PureAutomatonSecond, SemigroupAutomatonSecond
@@ -101,18 +101,21 @@ def _int_table(value, where: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _int_array(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
-    """A list of equal-length rows of plain ints as one int64 array, not
+    """A list of equal-length rows of plain ints as one integer array, not
     range-checked: ``SemigroupTable`` checks it and narrows it to its
-    order's dtype.  Any other table gets ``_int_table``'s checks and
+    order's dtype.  Entries in 0..255 are read by ``_byte_rows``, others
+    by ``np.array``.  Any other table gets ``_int_table``'s checks and
     messages."""
     _expect(isinstance(value, list), where, "expected a list of rows")
-    try:
-        array = np.array(value)
-    except ValueError:  # ragged rows, or nested too deeply for an array
-        return _int_table(value, where)
-    if (array.ndim == 2 and array.dtype.kind == "i" and np.can_cast(array.dtype, np.intp)
+    array = _byte_rows(value)
+    if array is None:
+        try:
+            array = np.array(value)
+        except ValueError:  # ragged rows, or nested too deeply for an array
+            return _int_table(value, where)
+    if (array.ndim == 2 and array.dtype.kind in "iu" and np.can_cast(array.dtype, np.intp)
             and set(map(type, value)) <= {list}):
-        rows, cols = (array <= 1).nonzero()  # where np.array may have taken a bool for 0 or 1
+        rows, cols = (array <= 1).nonzero()  # where a bool may have been read as 0 or 1
         cells = map(list.__getitem__, map(value.__getitem__, rows.tolist()), cols.tolist())
         if set(map(type, cells)) <= {int}:
             return array

@@ -48,7 +48,7 @@ from autalg import (
     wreath_triple,
 )
 from autalg.core import _index_dtype, as_table, bfs_order
-from autalg.schema import SchemaError, dumps, load_object
+from autalg.schema import SchemaError, _expect, _int_table, dumps, load_object
 
 
 # --- random objects ---------------------------------------------------
@@ -702,6 +702,24 @@ def load_oracle(path: str | Path):
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: nested too deeply") from exc
+
+
+def int_array_reference(value, where: str):
+    """``schema._int_array`` as it was with ``np.array`` alone: the
+    reference the bytes reader must match, table for table and message
+    for message."""
+    _expect(isinstance(value, list), where, "expected a list of rows")
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged rows, or nested too deeply for an array
+        return _int_table(value, where)
+    if (array.ndim == 2 and array.dtype.kind == "i" and np.can_cast(array.dtype, np.intp)
+            and set(map(type, value)) <= {list}):
+        rows, cols = (array <= 1).nonzero()  # where np.array may have taken a bool for 0 or 1
+        cells = map(list.__getitem__, map(value.__getitem__, rows.tolist()), cols.tolist())
+        if set(map(type, cells)) <= {int}:
+            return array
+    return _int_table(value, where)
 
 
 # --- trusted constructions: the validating rebuild ----------------------

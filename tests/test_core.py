@@ -274,6 +274,40 @@ class TestIndexDtype:
         assert table.array.dtype == np.uint8 and table.array.tobytes() == b"\x00"
 
 
+class TestByteRows:
+    """``_byte_rows`` reads list or tuple rows of ints in 0..255 and refuses
+    anything else, ragged rows too; ``_narrow``, which uses it, gives what
+    ``np.asarray(...).astype`` gives."""
+
+    def test_rows_become_a_read_only_byte_array(self):
+        array = core._byte_rows([[0, 255], (True, 7)])
+        assert array.dtype == np.uint8 and not array.flags.writeable
+        assert array.tolist() == [[0, 255], [1, 7]]
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 1], [1, 0]], dtype=np.uint8), [np.array([0, 1]), np.array([1, 0])],
+        [[0, 1, 1], [0]],  # ragged, though its 4 cells would reshape to 2 x 2
+        [3, 4], [b"\x00\x01", b"\x01\x00"], [{0: 1}, {1: 0}], [[0, 1], 1],  # rows of no ints
+        [], [[]], [[], []], [[0, 256]], [[-1, 0]], [[2 ** 64]],
+        [[0.0]], [["0"]], [[None]], [[[0]]],
+    ])
+    def test_refuses_other_tables(self, rows):
+        assert core._byte_rows(rows) is None
+
+    @pytest.mark.parametrize("table", [
+        np.array([[0, 1], [255, 3]]), np.array([[0, 256]]), np.array([[0, 1]], dtype=np.uint8),
+        [np.array([0, 1]), np.array([1, 255])], (np.array([0, 300]),),
+        ((np.int64(3), np.int64(255)),), [(np.uint8(7),), (np.intp(0),)],
+        [[255, 0]], [[256, 0]], ((0, 255), (1, 2)), ((0, 256), (1, 2)), [[65535]], [[65536]],
+        [[True, False], [0, 1]], ((0,),),
+    ])
+    def test_narrow_matches_asarray(self, table):
+        array = np.asarray(table)
+        expected = array.astype(core._index_dtype(int(array.max()) + 1))
+        got = core._narrow(table)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 ENTRIES = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.none(),
                     st.just(np.int64(1)))
 

@@ -41,13 +41,13 @@ from autalg import (
     wreath_product,
     wreath_triple,
 )
-from autalg import cli
+from autalg import cli, schema
 from autalg.cli import CommandResult, main, parse_word
 from autalg.dot import to_dot
 from autalg.schema import (
     _ORJSON_BRACKETS, SchemaError, _text, dump_object, dumps, load, load_object, save,
 )
-from helpers import load_oracle
+from helpers import int_array_reference, load_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -342,6 +342,23 @@ def _first_semigroup(product, order: int = 2) -> dict:
             "next": [[0] * order], "out": [[0] * order]}
 
 
+@st.composite
+def _products(draw):
+    """An order and a product for it: rows of in-range ints, or of ints to
+    300, bools, floats, strings, None and lists, of any length; or the
+    table of Z_order with one cell redrawn."""
+    order = draw(st.integers(1, 4))
+    cell = st.one_of(st.integers(0, order - 1), st.integers(0, 300), st.booleans(),
+                     st.sampled_from([0.0, 1.0, "0", None, [0], [[1]]]))
+    if draw(st.booleans()):
+        product = [[(x + y) % order for y in range(order)] for x in range(order)]
+        product[draw(st.integers(0, order - 1))][draw(st.integers(0, order - 1))] = draw(cell)
+        return order, product
+    row = st.one_of(st.lists(cell, min_size=order, max_size=order),
+                    st.lists(cell, max_size=order + 1), st.sampled_from([0, None]))
+    return order, draw(st.lists(row, min_size=order - 1, max_size=order + 1))
+
+
 class TestTableCodec:
     """The table fast paths of the writer and the reader give the bytes
     and the messages of the plain code."""
@@ -444,11 +461,51 @@ class TestTableCodec:
         ([[0, 1], 1], "file.semigroup.product[1]: expected a list"),
         ([(0, 1), (1, 0)], "file.semigroup.product[0]: expected a list"),
         ("ab", "file.semigroup.product: expected a list of rows"),
+        # tables that the bytes reader refuses or reads as 0 and 1
+        ([[0, 1, 1], [0]], "file.semigroup: product[0]: expected 2 entries, got 3"),
+        ([[0, True], [1, 0]], "file.semigroup.product[0][1]: expected an integer, got True"),
+        ([[0, 1], [1, False]], "file.semigroup.product[1][1]: expected an integer, got False"),
+        ([[0.0, 1], [1, 0]], "file.semigroup.product[0][0]: expected an integer, got 0.0"),
+        ([[0, 1], ["0", 0]], "file.semigroup.product[1][0]: expected an integer, got '0'"),
+        ([[0, [0]], [1, 0]], "file.semigroup.product[0][1]: expected an integer, got [0]"),
+        ([[0, 1], [1, 256]], "file.semigroup: product[1][1] = 256 out of range 0..1"),
+        ([[-1, 1], [1, 0]], "file.semigroup: product[0][0] = -1 out of range 0..1"),
+        ([[0, 2**64], [1, 0]],
+         "file.semigroup: product[0][1] = 18446744073709551616 out of range 0..1"),
     ])
     def test_bad_product_messages(self, product, message):
         with pytest.raises(SchemaError) as info:
             load_object(_first_semigroup(product))
         assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(_products())
+    def test_bytes_reader_matches_the_np_array_reader(self, case):
+        order, product = case
+        data = _first_semigroup(product, order)
+
+        def outcome():
+            try:
+                return load_object(copy.deepcopy(data))
+            except SchemaError as exc:
+                return str(exc)
+        got = outcome()
+        with mock.patch.object(schema, "_int_array", int_array_reference):
+            expected = outcome()
+        assert type(got) is type(expected) and got == expected
+
+    def test_tables_in_one_byte_skip_the_plain_checks(self, tmp_path):
+        # Z_200 and T_4 (order 256): no product cell reaches _int_table
+        gens = [Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3)),
+                Transformation((0, 0, 2, 3))]
+        for table in (SemigroupTable(200, np.add.outer(np.arange(200), np.arange(200)) % 200),
+                      close_generators(gens, compose_transformations).table):
+            path = tmp_path / "table.json"
+            save(path, semiautomaton(FiniteSet(1), table, ((0,) * table.order,)))
+            with mock.patch.object(schema, "_int_table", wraps=schema._int_table) as spy:
+                again = load(path)
+            assert again.gamma == table
+            assert [c.args[1] for c in spy.call_args_list if "product" in c.args[1]] == []
 
     def test_non_utf8_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
