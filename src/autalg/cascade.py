@@ -164,6 +164,13 @@ def _check_homomorphism(gamma: SemigroupTable, image: Sequence[int],
     return CheckReport.failed(report.law, report.witness[1:], report.lhs, report.rhs)
 
 
+def _check_semigroup_fit(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
+                         m2: SemigroupAutomatonFirst) -> None:
+    """Raise if the triple's tables do not index the components' columns."""
+    as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
+    as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
+
+
 def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
                            m2: SemigroupAutomatonFirst) -> CheckReport:
     """beta must be a homomorphism into m2's semigroup and alpha must
@@ -176,8 +183,7 @@ def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirs
     m2's laws are not checked here, so ``check_laws`` tests the carrier
     on the generators of t.gamma before it trusts the generator pass.
     """
-    as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
-    as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
+    _check_semigroup_fit(t, m1, m2)
     report = _check_homomorphism(t.gamma, t.beta, m2.gamma, "beta homomorphism")
     if not report.ok:
         return report
@@ -206,11 +212,10 @@ def cascade_semigroup(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
                       t: CascadeTripleSemigroup) -> SemigroupAutomatonFirst:
     """The cascade of two semigroup automata along a (Gamma, alpha, beta)
     triple; with a valid triple the result satisfies the action laws.
-    The ``as_table`` pair checks that alpha and beta index the
+    ``_check_semigroup_fit`` checks that alpha and beta index the
     components' columns, so the cascade's tables are in range and are
     not re-checked."""
-    as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
-    as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
+    _check_semigroup_fit(t, m1, m2)
     states, outputs, nxt, out = _cascade_tables(m1, m2, t)
     return _trusted(SemigroupAutomatonFirst, states, t.gamma, outputs, nxt, out)
 

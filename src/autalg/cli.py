@@ -8,6 +8,15 @@ for a construction that fails its own built-in verification
 memory (``MemoryError``, printed as ``error: out of memory``) and for a
 standard output whose reader has gone (``BrokenPipeError``, as in
 ``autalg group invert m.json | head -1``), which prints nothing more.
+
+Each ``construct`` and ``group`` verb is one row of ``_VERBS``: its
+command, its arity, the output options it refuses and the function that
+runs it.  ``build_parser`` takes each command's verb choices from the
+table, and ``main`` checks a verb's arguments and dispatches it through
+its row; ``check``, which has no verb, runs ``cmd_check``.  The run
+functions call the package's functions by their names in this module's
+globals, never through references taken when the table is built, since
+the bench tracer (``bench/tracing.py``) wraps them here.
 """
 
 from __future__ import annotations
@@ -186,60 +195,50 @@ def cmd_check(args) -> CommandResult:
     return _passed("pass" + suffix)
 
 
-def cmd_construct(args) -> CommandResult:
-    verb = args.verb
-    if verb == "semigroupify":
-        source = _load_as(args.inputs[0], PureAutomatonFirst, "a first-pure automaton")
-        built = semigroupify(source, cap=args.cap)
-    elif verb == "cascade":
-        triple = _load_as(args.inputs[2], (CascadeTriplePure, CascadeTripleSemigroup),
-                          "a cascade-triple")
-        m1, m2 = (_load_as(path, *_component_type(triple)) for path in args.inputs[:2])
-        if isinstance(triple, CascadeTripleSemigroup):
-            report = check_semigroup_triple(triple, m1, m2)
-            if not report.ok:
-                return _failed(report.describe())
-            built = cascade_semigroup(m1, m2, triple)
-        else:
-            built = cascade_pure(m1, m2, triple)
-    elif verb == "wreath":
-        m1 = _load_as(args.inputs[0], SemigroupAutomatonFirst, "a first-semigroup automaton")
-        m2 = _load_as(args.inputs[1], SemigroupAutomatonFirst, "a first-semigroup automaton")
-        built, triple = wreath_automaton(m1, m2, cap=args.cap)
-        if args.triple_out:
-            schema.save(args.triple_out, triple)
-    elif verb == "serial":
-        source = _load_as(args.inputs[0], SemigroupAutomatonSecond,
-                          "a second-semigroup automaton")
-        built = serial_from_second(source)
-    elif verb == "derive-second":
-        source = _load_as(args.inputs[0], SerialConnection, "a serial connection")
-        built = derive_second_type(source)
-    elif verb == "quotient":
-        source = _load_as(args.inputs[0], PureAutomatonSecond, "a second-pure automaton")
-        mu = _load_as(args.inputs[1], GeneratorHom, "a generator-hom")
-        nu = _load_as(args.inputs[2], GeneratorHom, "a generator-hom")
-        outcome = quotient_construct(source, mu, nu)
-        if isinstance(outcome, QuotientWitness):
-            return _failed("incompatible: " + outcome.describe())
-        built = outcome
-    elif verb == "embed":
-        triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
-        m1 = _load_as(args.inputs[1], SemigroupAutomatonFirst, "a first-semigroup automaton")
-        m2 = _load_as(args.inputs[2], SemigroupAutomatonFirst, "a first-semigroup automaton")
-        mapping = embed_into_wreath(triple, m1, m2, cap=args.cap)
-        if isinstance(mapping, CheckReport):
-            return _failed("triple invalid: " + mapping.describe())
-        message = "embedding " + " ".join(str(v) for v in mapping)
-        if args.output:
-            Path(args.output).write_text(json.dumps(
-                {"type": "embedding", "mapping": list(mapping)},
-                indent=2, sort_keys=True) + "\n")
-            message += f"\nwrote {args.output}"
-        return _passed(message)
-    else:  # unreachable behind argparse choices
-        raise ValueError(f"unknown verb {verb!r}")
+def _cascade(args) -> CommandResult:
+    triple = _load_as(args.inputs[2], (CascadeTriplePure, CascadeTripleSemigroup),
+                      "a cascade-triple")
+    m1, m2 = (_load_as(path, *_component_type(triple)) for path in args.inputs[:2])
+    if isinstance(triple, CascadeTriplePure):
+        return _emit(args, cascade_pure(m1, m2, triple))
+    report = check_semigroup_triple(triple, m1, m2)
+    if not report.ok:
+        return _failed(report.describe())
+    return _emit(args, cascade_semigroup(m1, m2, triple))
+
+
+def _wreath(args) -> CommandResult:
+    m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
+              for path in args.inputs)
+    built, triple = wreath_automaton(m1, m2, cap=args.cap)
+    if args.triple_out:
+        schema.save(args.triple_out, triple)
     return _emit(args, built)
+
+
+def _quotient(args) -> CommandResult:
+    source = _load_as(args.inputs[0], PureAutomatonSecond, "a second-pure automaton")
+    mu, nu = (_load_as(path, GeneratorHom, "a generator-hom") for path in args.inputs[1:])
+    outcome = quotient_construct(source, mu, nu)
+    if isinstance(outcome, QuotientWitness):
+        return _failed("incompatible: " + outcome.describe())
+    return _emit(args, outcome)
+
+
+def _embed(args) -> CommandResult:
+    triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
+    m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
+              for path in args.inputs[1:])
+    mapping = embed_into_wreath(triple, m1, m2, cap=args.cap)
+    if isinstance(mapping, CheckReport):
+        return _failed("triple invalid: " + mapping.describe())
+    message = "embedding " + " ".join(str(v) for v in mapping)
+    if args.output:
+        Path(args.output).write_text(json.dumps(
+            {"type": "embedding", "mapping": list(mapping)},
+            indent=2, sort_keys=True) + "\n")
+        message += f"\nwrote {args.output}"
+    return _passed(message)
 
 
 def _load_element(path: str) -> MealyElement:
@@ -247,41 +246,55 @@ def _load_element(path: str) -> MealyElement:
     return MealyElement(obj, 0) if isinstance(obj, MealyMachine) else obj
 
 
-def cmd_group(args) -> CommandResult:
-    verb = args.verb
-    if verb == "apply":
-        e = _load_element(args.inputs[0])
-        w = parse_word(args.inputs[1:], e.machine.alphabet)
-        return _passed(format_word(element_apply(e, w)))
-    if verb == "compose":
-        e1 = _load_element(args.inputs[0])
-        e2 = _load_element(args.inputs[1])
-        return _emit(args, element_compose(e1, e2))
-    if verb == "invert":
-        return _emit(args, element_invert(_load_element(args.inputs[0])))
-    if verb == "equal":
-        e1 = _load_element(args.inputs[0])
-        e2 = _load_element(args.inputs[1])
-        verdict = element_equal(e1, e2)
-        lines = ["true" if verdict else "false"]
-        if args.depth:
-            # unequal elements agree on the words up to length d iff the
-            # shortest word they map differently is longer than d
-            agree = verdict or args.depth < first_difference(e1, e2)
-            lines.append(f"words up to length {args.depth} "
-                         + ("agree" if agree else "disagree"))
-        message = "\n".join(lines)
-        if verdict:
-            return _passed(message)
-        return _failed(message)
-    if verb == "order":
-        e = _load_element(args.inputs[0])
-        result = element_order_bounded(e, max_power=args.max_power,
-                                       max_states=args.max_states)
-        return _passed(result.describe())
-    if verb == "minimize":
-        return _emit(args, minimize_element(_load_element(args.inputs[0])))
-    raise ValueError(f"unknown verb {verb!r}")
+def _apply(args) -> CommandResult:
+    if len(args.inputs) < 2:
+        raise ValueError("apply takes a machine file and a word")
+    e = _load_element(args.inputs[0])
+    return _passed(format_word(element_apply(e, parse_word(args.inputs[1:], e.machine.alphabet))))
+
+
+def _equal(args) -> CommandResult:
+    e1, e2 = map(_load_element, args.inputs)
+    verdict = element_equal(e1, e2)
+    lines = ["true" if verdict else "false"]
+    if args.depth:
+        # unequal elements agree on the words up to length d iff the
+        # shortest word they map differently is longer than d
+        agree = verdict or args.depth < first_difference(e1, e2)
+        lines.append(f"words up to length {args.depth} "
+                     + ("agree" if agree else "disagree"))
+    message = "\n".join(lines)
+    if verdict:
+        return _passed(message)
+    return _failed(message)
+
+
+# verb -> (command, arity, the output options it refuses, run); apply's
+# arity is None, since its run takes a machine file and a word of any length
+_VERBS = {
+    "semigroupify": ("construct", 1, ("triple_out",), lambda args: _emit(args, semigroupify(
+        _load_as(args.inputs[0], PureAutomatonFirst, "a first-pure automaton"), cap=args.cap))),
+    "cascade": ("construct", 3, ("triple_out",), _cascade),
+    "wreath": ("construct", 2, (), _wreath),
+    "serial": ("construct", 1, ("triple_out",), lambda args: _emit(args, serial_from_second(
+        _load_as(args.inputs[0], SemigroupAutomatonSecond, "a second-semigroup automaton")))),
+    "derive-second": ("construct", 1, ("triple_out",), lambda args: _emit(
+        args, derive_second_type(_load_as(args.inputs[0], SerialConnection,
+                                          "a serial connection")))),
+    "quotient": ("construct", 3, ("triple_out",), _quotient),
+    "embed": ("construct", 3, ("triple_out", "dot"), _embed),
+    "apply": ("group", None, ("output", "dot"), _apply),
+    "compose": ("group", 2, (), lambda args: _emit(
+        args, element_compose(*map(_load_element, args.inputs)))),
+    "invert": ("group", 1, (), lambda args: _emit(
+        args, element_invert(_load_element(args.inputs[0])))),
+    "equal": ("group", 2, ("output", "dot"), _equal),
+    "order": ("group", 1, ("output", "dot"), lambda args: _passed(element_order_bounded(
+        _load_element(args.inputs[0]), max_power=args.max_power,
+        max_states=args.max_states).describe())),
+    "minimize": ("group", 1, (), lambda args: _emit(
+        args, minimize_element(_load_element(args.inputs[0])))),
+}
 
 
 @functools.cache
@@ -302,22 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "decided from the generator columns for every length "
                             "at once, so the length sets no work")
     check.add_argument("--dot", help="write a DOT rendering of the object")
-    check.set_defaults(func=cmd_check)
 
     construct = sub.add_parser("construct", help="run a construction and write the result")
-    construct.add_argument("verb", choices=["semigroupify", "cascade", "wreath", "serial",
-                                            "derive-second", "quotient", "embed"])
+    construct.add_argument("verb", choices=[verb for verb, row in _VERBS.items()
+                                          if row[0] == "construct"])
     construct.add_argument("inputs", nargs="+", help="input files for the verb")
     construct.add_argument("-o", "--output", help="output file (default: print JSON)")
     construct.add_argument("--cap", type=int, default=DEFAULT_CAP,
                            help="closure / wreath size cap")
     construct.add_argument("--triple-out", help="wreath: also write the steering triple")
     construct.add_argument("--dot", help="write a DOT rendering of the result")
-    construct.set_defaults(func=cmd_construct)
 
     group = sub.add_parser("group", help="operate on word-machine elements")
-    group.add_argument("verb", choices=["apply", "compose", "invert", "equal",
-                                        "order", "minimize"])
+    group.add_argument("verb", choices=[verb for verb, row in _VERBS.items()
+                                      if row[0] == "group"])
     group.add_argument("inputs", nargs="+",
                        help="machine files; for apply, a machine then word letters. "
                             "The compact form, a single all-digit token read one "
@@ -331,18 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--max-states", type=int, default=100_000,
                        help="order: bound on the states of every minimized power")
     group.add_argument("--dot", help="write a DOT rendering of the result")
-    group.set_defaults(func=cmd_group)
     return parser
-
-
-_ARITY = {"semigroupify": 1, "cascade": 3, "wreath": 2, "serial": 1,
-          "derive-second": 1, "quotient": 3, "embed": 3,
-          "compose": 2, "invert": 1, "equal": 2, "order": 1, "minimize": 1}
-# the output options a verb has no use for: given, they are an error
-_UNUSED = {**dict.fromkeys(("semigroupify", "cascade", "serial", "derive-second", "quotient"),
-                           ("triple_out",)),
-           "embed": ("triple_out", "dot"),
-           **dict.fromkeys(("apply", "equal", "order"), ("output", "dot"))}
 
 
 def main(argv=None) -> int:
@@ -351,12 +351,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage or help
         return exc.code
-    arity = _ARITY.get(getattr(args, "verb", None))
+    # check has no verb: it takes one file and refuses no option
+    _, arity, unused, run = _VERBS.get(getattr(args, "verb", None), (None, None, (), cmd_check))
     if arity is not None and len(args.inputs) != arity:
         print(f"error: {args.verb} takes {arity} input file(s), got {len(args.inputs)}",
               file=sys.stderr)
         return 2
-    for option in _UNUSED.get(getattr(args, "verb", None), ()):
+    for option in unused:
         if getattr(args, option) is not None:
             print(f"error: {args.verb} takes no --{option.replace('_', '-')}", file=sys.stderr)
             return 2
@@ -364,11 +365,8 @@ def main(argv=None) -> int:
         if getattr(args, option, low) < low:
             print(f"error: --{option.replace('_', '-')} must be at least {low}", file=sys.stderr)
             return 2
-    if getattr(args, "verb", None) == "apply" and len(args.inputs) < 2:
-        print("error: apply takes a machine file and a word", file=sys.stderr)
-        return 2
     try:
-        result = args.func(args)
+        result = run(args)
     except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError,
             VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from .core import (
     as_table,
     check_laws,
     close_generators,
-    multiply_pair,  # the reference product that multiply_flat encodes
+    multiply_pair,  # noqa: F401  re-exported: the bench tracer wraps it here
 )
 
 

@@ -914,10 +914,21 @@ class TestConstructCommand:
         assert capsys.readouterr() == ("", "error: no DOT renderer for SerialConnection\n")
         assert not out.exists() and not target.exists()
 
-    def test_wrong_arity_is_a_usage_error(self):
+    def test_wrong_arity_is_a_usage_error(self, capsys):
         assert main(["construct", "semigroupify"]) == 2
+        capsys.readouterr()
         assert main(["construct", "cascade",
                      str(FIXTURES / "first_pure_swap.json")]) == 2
+        assert capsys.readouterr() == ("", "error: cascade takes 3 input file(s), got 1\n")
+        assert main(["group", "compose", str(FIXTURES / "mealy_odometer.json")]) == 2
+        assert capsys.readouterr() == ("", "error: compose takes 2 input file(s), got 1\n")
+        # the verb lists in order; the heading above the options differs
+        # between Python versions, so only the brace strings are compared
+        for command, verbs in (
+                ("construct", "{semigroupify,cascade,wreath,serial,derive-second,quotient,embed}"),
+                ("group", "{apply,compose,invert,equal,order,minimize}")):
+            assert main([command, "-h"]) == 0
+            assert set(re.findall(r"\{[^}]*\}", capsys.readouterr().out)) == {verbs}
 
     def test_one_input_apply_reports_the_word(self, capsys):
         assert main(["group", "apply", str(FIXTURES / "mealy_odometer.json")]) == 2
@@ -1220,6 +1231,48 @@ def test_components_on_a_non_triple_is_a_usage_error(tmp_path, capsys, name):
     assert not target.exists()
 
 
+# the package functions that bench/tracing.py wraps as attributes of
+# ``cli``, each with a call that reaches it
+TRACED_IN_CLI = {
+    "semigroupify": ["construct", "semigroupify", "first_pure_swap.json"],
+    "check_first_axioms": ["check", "first_semigroup_swap.json"],
+    "check_second_axioms": ["check", "second_semigroup_parity.json"],
+    "check_serial": ["check", "serial_reset.json"],
+    "check_semigroup_triple": ["check", "cascade_triple_semigroup.json", "--components",
+                               "first_semigroup_z2.json", "first_semigroup_z2.json"],
+    "embed_into_wreath": ["construct", "embed", "cascade_triple_semigroup.json",
+                          "first_semigroup_z2.json", "first_semigroup_z2.json"],
+    "cascade_semigroup": ["construct", "cascade", "first_semigroup_z2.json",
+                          "first_semigroup_z2.json", "cascade_triple_semigroup.json"],
+    "quotient_construct": ["construct", "quotient", "second_pure_parity.json",
+                           "hom_mu_parity.json", "hom_nu_parity.json"],
+    "element_order_bounded": ["group", "order", "mealy_odometer.json"],
+    "element_equal": ["group", "equal", "mealy_odometer.json", "mealy_identity.json"],
+    "minimize_element": ["group", "minimize", "mealy_odometer.json"],
+    "element_compose": ["group", "compose", "mealy_odometer.json", "mealy_odometer.json"],
+}
+
+
+@pytest.mark.parametrize("name", TRACED_IN_CLI)
+def test_verbs_call_the_traced_names_through_cli(monkeypatch, capsys, name):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in TRACED_IN_CLI[name]]
+    code = main(argv)
+    expected = capsys.readouterr()
+    calls, original = [], getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, name, recording)
+    assert main(argv) == code
+    assert capsys.readouterr() == expected
+    assert calls
+
+
+def test_cli_keeps_the_wreath_product_the_tracer_wraps():
+    assert cli.wreath_product is wreath_product
+
+
 def test_main_runs_repeatedly_in_one_process(capsys):
     assert main(["group", "order"]) == 2
     assert "usage: autalg" in capsys.readouterr().err
@@ -1269,7 +1322,6 @@ print(json.dumps({"codes": codes, "bad": bad}))
 
 ODD_WORDS = [["0"], ["01"], ["0", "1", "1"], ["00", "11"], ["2"], ["-1"], ["x"], [""], [" "],
              ["\u0663"], ["1.5"], ["9" * 30], ["0" * 200], ["--"]]
-GROUP_VERBS = {"compose", "invert", "equal", "order", "minimize"}
 
 
 def sweep_calls(rng: Random, per_verb: int) -> list[list[str]]:
@@ -1285,9 +1337,9 @@ def sweep_calls(rng: Random, per_verb: int) -> list[list[str]]:
     calls = [["check", *t] for t in tuples(1)]
     calls += [["check", *t, "--max-len", "3"] for t in tuples(1)]
     calls += [["check", rng.choice(triples), "--components", *t] for t in tuples(2)]
-    for verb, arity in cli._ARITY.items():
-        command = "group" if verb in GROUP_VERBS else "construct"
-        calls += [[command, verb, *t] for t in tuples(arity)]
+    for verb, (command, arity, _, _) in cli._VERBS.items():
+        if arity is not None:
+            calls += [[command, verb, *t] for t in tuples(arity)]
     calls += [["group", "apply", rng.choice(files), *rng.choice(ODD_WORDS)]
               for _ in range(per_verb)]
     # order 20,736 fits the element cap; its table is refused by the cell budget
