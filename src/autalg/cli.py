@@ -13,7 +13,8 @@ Each ``construct`` and ``group`` verb is one row of ``_VERBS``: its
 command, its arity, the output options it refuses and the function that
 runs it.  ``build_parser`` takes each command's verb choices from the
 table, and ``main`` checks a verb's arguments and dispatches it through
-its row; ``check``, which has no verb, runs ``cmd_check``.  The run
+its row; ``check``, which has no verb, runs ``cmd_check``.  A run function
+returns ``(exit code, message)``, and ``main`` prints the message.  The run
 functions call the package's functions by their names in this module's
 globals, never through references taken when the table is built, since
 the bench tracer (``bench/tracing.py``) wraps them here.
@@ -23,11 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dot as dot_mod
@@ -47,7 +46,6 @@ from .core import CapExceeded, CheckReport, DEFAULT_CAP, NotInvertible, Verifica
 from .first_type import (
     PureAutomatonFirst,
     SemigroupAutomatonFirst,
-    act_word,
     check_first_axioms,
     semigroupify,
 )
@@ -74,24 +72,12 @@ from .second_type import (
 from .serial import SerialConnection, check_serial, derive_second_type, serial_from_second
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    """What a command concluded: a status and the message to print."""
-
-    status: str  # pass | fail | error
-    message: str = ""
-
-    @property
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "error": 2}[self.status]
+def _passed(message: str) -> tuple[int, str]:
+    return 0, message
 
 
-def _passed(message: str) -> CommandResult:
-    return CommandResult("pass", message)
-
-
-def _failed(message: str) -> CommandResult:
-    return CommandResult("fail", message)
+def _failed(message: str) -> tuple[int, str]:
+    return 1, message
 
 
 def parse_word(tokens: list[str], alphabet_size: int) -> Word:
@@ -122,7 +108,7 @@ def _write(path: str | None, obj) -> str:
     return f"wrote {path}"
 
 
-def _emit(args, built) -> CommandResult:
+def _emit(args, built) -> tuple[int, str]:
     """Write a built object, then its DOT rendering.  The rendering is
     made first, so an object that has none writes no file."""
     text = None if args.dot is None else dot_mod.to_dot(built)
@@ -146,7 +132,7 @@ def _component_type(triple) -> tuple:
     return (PureAutomatonFirst, PureAutomatonSecond), "a first-pure or second-pure automaton"
 
 
-def cmd_check(args) -> CommandResult:
+def cmd_check(args) -> tuple[int, str]:
     obj = schema.load(args.file)
     if args.components and not isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
         raise ValueError(f"{args.file}: --components takes a cascade-triple")
@@ -159,11 +145,12 @@ def cmd_check(args) -> CommandResult:
     elif isinstance(obj, SemigroupAutomatonSecond):
         report = check_second_axioms(obj)
     elif isinstance(obj, SerialConnection):
-        for name, rep in (("first component", check_first_axioms(obj.first)),
-                          ("second component", check_first_axioms(obj.second)),
-                          ("connection", check_serial(obj))):
-            if not rep.ok:
-                report = rep
+        # each part runs only once the parts before it pass
+        for name, check, part in (("first component", check_first_axioms, obj.first),
+                                  ("second component", check_first_axioms, obj.second),
+                                  ("connection", check_serial, obj)):
+            report = check(part)
+            if not report.ok:
                 notes.append(name)
                 break
     elif isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
@@ -179,15 +166,11 @@ def cmd_check(args) -> CommandResult:
         machine = obj.machine if isinstance(obj, MealyElement) else obj
         notes.append("invertible" if is_invertible(machine) else "not invertible")
     elif isinstance(obj, PureAutomatonFirst) and args.max_len:
-        # a run reads only the image's generator columns, so one-letter
-        # words from every state decide the words of every length
-        image = semigroupify(obj)
-        for a, x in itertools.product(range(obj.states.size), range(obj.inputs.size)):
-            w = Word((x,), obj.inputs.size)
-            if act_word(obj, a, w) != act_word(image, a, w):
-                report = CheckReport.failed("pure/semigroup word agreement", (a, w.letters),
-                                            act_word(obj, a, w), act_word(image, a, w))
-                break
+        # generator x is the flat tuple of input x's next and out columns,
+        # found by equality, so image.next[a][gens[x]] == obj.next[a][x] and
+        # likewise for out: the image agrees by construction, and only the
+        # closure's CapExceeded or VerificationError can end this branch
+        semigroupify(obj)
     if not report.ok:
         prefix = f"{notes[0]}: " if notes else ""
         return _failed(prefix + report.describe())
@@ -195,7 +178,7 @@ def cmd_check(args) -> CommandResult:
     return _passed("pass" + suffix)
 
 
-def _cascade(args) -> CommandResult:
+def _cascade(args) -> tuple[int, str]:
     triple = _load_as(args.inputs[2], (CascadeTriplePure, CascadeTripleSemigroup),
                       "a cascade-triple")
     m1, m2 = (_load_as(path, *_component_type(triple)) for path in args.inputs[:2])
@@ -207,7 +190,7 @@ def _cascade(args) -> CommandResult:
     return _emit(args, cascade_semigroup(m1, m2, triple))
 
 
-def _wreath(args) -> CommandResult:
+def _wreath(args) -> tuple[int, str]:
     m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
               for path in args.inputs)
     built, triple = wreath_automaton(m1, m2, cap=args.cap)
@@ -216,7 +199,7 @@ def _wreath(args) -> CommandResult:
     return _emit(args, built)
 
 
-def _quotient(args) -> CommandResult:
+def _quotient(args) -> tuple[int, str]:
     source = _load_as(args.inputs[0], PureAutomatonSecond, "a second-pure automaton")
     mu, nu = (_load_as(path, GeneratorHom, "a generator-hom") for path in args.inputs[1:])
     outcome = quotient_construct(source, mu, nu)
@@ -225,7 +208,7 @@ def _quotient(args) -> CommandResult:
     return _emit(args, outcome)
 
 
-def _embed(args) -> CommandResult:
+def _embed(args) -> tuple[int, str]:
     triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
     m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
               for path in args.inputs[1:])
@@ -246,14 +229,14 @@ def _load_element(path: str) -> MealyElement:
     return MealyElement(obj, 0) if isinstance(obj, MealyMachine) else obj
 
 
-def _apply(args) -> CommandResult:
+def _apply(args) -> tuple[int, str]:
     if len(args.inputs) < 2:
         raise ValueError("apply takes a machine file and a word")
     e = _load_element(args.inputs[0])
     return _passed(format_word(element_apply(e, parse_word(args.inputs[1:], e.machine.alphabet))))
 
 
-def _equal(args) -> CommandResult:
+def _equal(args) -> tuple[int, str]:
     e1, e2 = map(_load_element, args.inputs)
     verdict = element_equal(e1, e2)
     lines = ["true" if verdict else "false"]
@@ -366,7 +349,7 @@ def main(argv=None) -> int:
             print(f"error: --{option.replace('_', '-')} must be at least {low}", file=sys.stderr)
             return 2
     try:
-        result = run(args)
+        code, message = run(args)
     except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError,
             VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -375,8 +358,8 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     try:
-        if result.message:
-            print(result.message)
+        if message:
+            print(message)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: point stdout's descriptor at the null device,
@@ -385,7 +368,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    return result.exit_code
+    return code
 
 
 if __name__ == "__main__":

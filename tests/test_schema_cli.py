@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import importlib.util
 import json
 import os
@@ -42,7 +41,7 @@ from autalg import (
     wreath_triple,
 )
 from autalg import cli, schema
-from autalg.cli import CommandResult, main, parse_word
+from autalg.cli import main, parse_word
 from autalg.dot import to_dot
 from autalg.schema import (
     _ORJSON_BRACKETS, SchemaError, _text, dump_object, dumps, load, load_object, save,
@@ -684,22 +683,50 @@ class TestCheckCommand:
             assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
                          "--max-len", max_len]) == 0
 
-    def test_word_bound_check_compares_generator_columns(self, monkeypatch, capsys):
-        import autalg.cli as cli
+    def test_word_bound_check_ends_only_by_the_closure_errors(self, monkeypatch, capsys):
+        # the image agrees with the automaton by construction: what the
+        # closure raises is all that --max-len can report
+        def failing(m):
+            raise VerificationError("closure table differs from the pair product at state 0")
 
-        def altered(m):
-            image = semigroupify(m)
-            g = image.gamma.generators[0]
-            out = [list(row) for row in image.out]
-            out[1][g] = 1 - out[1][g]
-            return dataclasses.replace(image, out=out)
-
-        monkeypatch.setattr(cli, "semigroupify", altered)
+        monkeypatch.setattr(cli, "semigroupify", failing)
         assert main(["check", str(FIXTURES / "first_pure_swap.json"),
-                     "--max-len", "1"]) == 1
-        assert capsys.readouterr().out == (
-            "fail: pure/semigroup word agreement at (1, (0,)): "
-            "lhs = Run(state=0, output=1), rhs = Run(state=0, output=0)\n")
+                     "--max-len", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: closure table differs from the pair product at state 0\n")
+
+    def test_word_bound_check_builds_the_closure(self, tmp_path, capsys):
+        # T_6: the cycle, a swap and a collapse on 6 states; its closure
+        # passes the cell budget, so only the plain check passes
+        path = tmp_path / "t6_pure.json"
+        path.write_text(json.dumps({
+            "type": "first-pure", "states": {"size": 6}, "inputs": {"size": 3},
+            "outputs": {"size": 1},
+            "next": [[1, 1, 0], [2, 0, 0], [3, 2, 2], [4, 3, 3], [5, 4, 4], [0, 5, 5]],
+            "out": [[0, 0, 0]] * 6}))
+        assert main(["check", str(path), "--max-len", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: closure exceeded the cell budget of 67108864 cells: 8193 elements "
+                "found by words of length 12 need 67125249 table cells (134250498 bytes)\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr() == ("pass\n", "")
+
+    def test_serial_check_stops_at_its_first_failing_part(self, tmp_path, monkeypatch, capsys):
+        data = copy.deepcopy(CORPUS["serial_reset.json"])
+        data["first"]["next"] = [[1, 0], [0, 1]]
+        path = tmp_path / "serial_first_bad.json"
+        path.write_text(json.dumps(data))
+        calls, original = [], cli.check_serial
+
+        def recording(s):
+            calls.append(s)
+            return original(s)
+        monkeypatch.setattr(cli, "check_serial", recording)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "first component: fail: state law a.(g1 g2) == (a.g1).g2 at (0, 0, 0): "
+            "lhs = 1, rhs = 0\n", "")
+        assert calls == []
 
     def test_negative_max_len_is_an_input_error(self, capsys):
         assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
@@ -1149,13 +1176,6 @@ class TestWordParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_word(["zero"], 2)
-
-
-class TestCommandResult:
-    def test_exit_codes(self):
-        assert CommandResult("pass").exit_code == 0
-        assert CommandResult("fail").exit_code == 1
-        assert CommandResult("error").exit_code == 2
 
 
 # a cascade's or a checked triple's input files of the wrong type
