@@ -14,62 +14,45 @@ command, its arity, the output options it refuses and the function that
 runs it.  ``build_parser`` takes each command's verb choices from the
 table, and ``main`` checks a verb's arguments and dispatches it through
 its row; ``check``, which has no verb, runs ``cmd_check``.  A run function
-returns ``(exit code, message)``, and ``main`` prints the message.  The run
-functions call the package's functions by their names in this module's
-globals, never through references taken when the table is built, since
-the bench tracer (``bench/tracing.py``) wraps them here.
+returns ``(exit code, message)``, and ``main`` prints the message.
+
+This module imports no other module of the package at the top but
+``limits``.  The ``schema`` and ``dot`` modules and the names ``autalg``
+exports resolve on first use as attributes of this module (PEP 562), so
+a verb loads only the modules it runs, and an ``ImportError`` inside a
+verb exits 2.  The run functions read them as ``_cli.name`` at call time,
+never through references taken when the table is built, since the bench
+tracer (``bench/tracing.py``) and the tests wrap them here.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import dot as dot_mod
-from . import schema
-from .cascade import (
-    CascadeTriplePure,
-    CascadeTripleSemigroup,
-    cascade_pure,
-    cascade_semigroup,
-    check_pure_triple,
-    check_semigroup_triple,
-    embed_into_wreath,
-    wreath_automaton,
-    wreath_product,  # noqa: F401  re-exported: the bench tracer wraps it here
-)
-from .core import CapExceeded, CheckReport, DEFAULT_CAP, NotInvertible, VerificationError, Word
-from .first_type import (
-    PureAutomatonFirst,
-    SemigroupAutomatonFirst,
-    check_first_axioms,
-    semigroupify,
-)
-from .mealy import (
-    MealyElement,
-    MealyMachine,
-    element_apply,
-    element_compose,
-    element_equal,
-    element_invert,
-    element_order_bounded,
-    first_difference,
-    is_invertible,
-    minimize_element,
-)
-from .second_type import (
-    GeneratorHom,
-    PureAutomatonSecond,
-    QuotientWitness,
-    SemigroupAutomatonSecond,
-    check_second_axioms,
-    quotient_construct,
-)
-from .serial import SerialConnection, check_serial, derive_second_type, serial_from_second
+from .limits import DEFAULT_CAP, CapExceeded, VerificationError
+
+# this module, as whose attributes the run functions read the names
+# ``__getattr__`` resolves (see the module docstring)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """The ``schema`` or ``dot`` module, or a name ``autalg`` exports,
+    imported on first use and kept in this module's globals."""
+    if name in ("schema", "dot"):
+        value = importlib.import_module(f"{__package__}.{name}")
+    elif name in sys.modules[__package__].__all__:
+        value = getattr(sys.modules[__package__], name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def _passed(message: str) -> tuple[int, str]:
@@ -94,7 +77,7 @@ def parse_word(tokens: list[str], alphabet_size: int) -> Word:
             letters = tuple(int(t) for t in tokens)
         except ValueError:
             raise ValueError(f"cannot parse word from {tokens!r}") from None
-    return Word(letters, alphabet_size)
+    return _cli.Word(letters, alphabet_size)
 
 
 def format_word(w: Word) -> str:
@@ -103,15 +86,15 @@ def format_word(w: Word) -> str:
 
 def _write(path: str | None, obj) -> str:
     if path is None:
-        return schema.dumps(obj).rstrip("\n")
-    schema.save(path, obj)
+        return _cli.schema.dumps(obj).rstrip("\n")
+    _cli.schema.save(path, obj)
     return f"wrote {path}"
 
 
 def _emit(args, built) -> tuple[int, str]:
     """Write a built object, then its DOT rendering.  The rendering is
     made first, so an object that has none writes no file."""
-    text = None if args.dot is None else dot_mod.to_dot(built)
+    text = None if args.dot is None else _cli.dot.to_dot(built)
     message = _write(args.output, built)
     if text is not None:
         Path(args.dot).write_text(text)
@@ -119,58 +102,62 @@ def _emit(args, built) -> tuple[int, str]:
 
 
 def _load_as(path: str, kind, what: str):
-    obj = schema.load(path)
+    obj = _cli.schema.load(path)
     if not isinstance(obj, kind):
-        raise schema.SchemaError(f"{path}: expected {what}")
+        raise _cli.schema.SchemaError(f"{path}: expected {what}")
     return obj
 
 
 def _component_type(triple) -> tuple:
     """The automaton type a cascade triple steers, and its name."""
-    if isinstance(triple, CascadeTripleSemigroup):
-        return SemigroupAutomatonFirst, "a first-semigroup automaton"
-    return (PureAutomatonFirst, PureAutomatonSecond), "a first-pure or second-pure automaton"
+    if isinstance(triple, _cli.CascadeTripleSemigroup):
+        return _cli.SemigroupAutomatonFirst, "a first-semigroup automaton"
+    return ((_cli.PureAutomatonFirst, _cli.PureAutomatonSecond),
+            "a first-pure or second-pure automaton")
 
 
 def cmd_check(args) -> tuple[int, str]:
-    obj = schema.load(args.file)
-    if args.components and not isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
+    obj = _cli.schema.load(args.file)
+    # dispatched on the class name, so no other type's module is imported
+    kind = type(obj).__name__
+    triple = kind in ("CascadeTriplePure", "CascadeTripleSemigroup")
+    if args.components and not triple:
         raise ValueError(f"{args.file}: --components takes a cascade-triple")
     if args.dot is not None:
-        Path(args.dot).write_text(dot_mod.to_dot(obj))
-    report = CheckReport.passed()
+        Path(args.dot).write_text(_cli.dot.to_dot(obj))
+    report = _cli.CheckReport.passed()
     notes = []
-    if isinstance(obj, SemigroupAutomatonFirst):
-        report = check_first_axioms(obj)
-    elif isinstance(obj, SemigroupAutomatonSecond):
-        report = check_second_axioms(obj)
-    elif isinstance(obj, SerialConnection):
+    if kind == "SemigroupAutomatonFirst":
+        report = _cli.check_first_axioms(obj)
+    elif kind == "SemigroupAutomatonSecond":
+        report = _cli.check_second_axioms(obj)
+    elif kind == "SerialConnection":
         # each part runs only once the parts before it pass
-        for name, check, part in (("first component", check_first_axioms, obj.first),
-                                  ("second component", check_first_axioms, obj.second),
-                                  ("connection", check_serial, obj)):
+        for name, check, part in (("first component", _cli.check_first_axioms, obj.first),
+                                  ("second component", _cli.check_first_axioms, obj.second),
+                                  ("connection", _cli.check_serial, obj)):
             report = check(part)
             if not report.ok:
                 notes.append(name)
                 break
-    elif isinstance(obj, (CascadeTriplePure, CascadeTripleSemigroup)):
+    elif triple:
         if args.components:
             m1, m2 = (_load_as(path, *_component_type(obj)) for path in args.components)
-            if isinstance(obj, CascadeTriplePure):
-                check_pure_triple(obj, m1, m2)
+            if kind == "CascadeTriplePure":
+                _cli.check_pure_triple(obj, m1, m2)
             else:
-                report = check_semigroup_triple(obj, m1, m2)
+                report = _cli.check_semigroup_triple(obj, m1, m2)
         else:
             notes.append("structure only; pass --components to verify against automata")
-    elif isinstance(obj, (MealyMachine, MealyElement)):
-        machine = obj.machine if isinstance(obj, MealyElement) else obj
-        notes.append("invertible" if is_invertible(machine) else "not invertible")
-    elif isinstance(obj, PureAutomatonFirst) and args.max_len:
+    elif kind in ("MealyMachine", "MealyElement"):
+        machine = obj.machine if kind == "MealyElement" else obj
+        notes.append("invertible" if _cli.is_invertible(machine) else "not invertible")
+    elif kind == "PureAutomatonFirst" and args.max_len:
         # generator x is the flat tuple of input x's next and out columns,
         # found by equality, so image.next[a][gens[x]] == obj.next[a][x] and
         # likewise for out: the image agrees by construction, and only the
         # closure's CapExceeded or VerificationError can end this branch
-        semigroupify(obj)
+        _cli.semigroupify(obj)
     if not report.ok:
         prefix = f"{notes[0]}: " if notes else ""
         return _failed(prefix + report.describe())
@@ -179,41 +166,41 @@ def cmd_check(args) -> tuple[int, str]:
 
 
 def _cascade(args) -> tuple[int, str]:
-    triple = _load_as(args.inputs[2], (CascadeTriplePure, CascadeTripleSemigroup),
+    triple = _load_as(args.inputs[2], (_cli.CascadeTriplePure, _cli.CascadeTripleSemigroup),
                       "a cascade-triple")
     m1, m2 = (_load_as(path, *_component_type(triple)) for path in args.inputs[:2])
-    if isinstance(triple, CascadeTriplePure):
-        return _emit(args, cascade_pure(m1, m2, triple))
-    report = check_semigroup_triple(triple, m1, m2)
+    if isinstance(triple, _cli.CascadeTriplePure):
+        return _emit(args, _cli.cascade_pure(m1, m2, triple))
+    report = _cli.check_semigroup_triple(triple, m1, m2)
     if not report.ok:
         return _failed(report.describe())
-    return _emit(args, cascade_semigroup(m1, m2, triple))
+    return _emit(args, _cli.cascade_semigroup(m1, m2, triple))
 
 
 def _wreath(args) -> tuple[int, str]:
-    m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
+    m1, m2 = (_load_as(path, _cli.SemigroupAutomatonFirst, "a first-semigroup automaton")
               for path in args.inputs)
-    built, triple = wreath_automaton(m1, m2, cap=args.cap)
+    built, triple = _cli.wreath_automaton(m1, m2, cap=args.cap)
     if args.triple_out:
-        schema.save(args.triple_out, triple)
+        _cli.schema.save(args.triple_out, triple)
     return _emit(args, built)
 
 
 def _quotient(args) -> tuple[int, str]:
-    source = _load_as(args.inputs[0], PureAutomatonSecond, "a second-pure automaton")
-    mu, nu = (_load_as(path, GeneratorHom, "a generator-hom") for path in args.inputs[1:])
-    outcome = quotient_construct(source, mu, nu)
-    if isinstance(outcome, QuotientWitness):
+    source = _load_as(args.inputs[0], _cli.PureAutomatonSecond, "a second-pure automaton")
+    mu, nu = (_load_as(path, _cli.GeneratorHom, "a generator-hom") for path in args.inputs[1:])
+    outcome = _cli.quotient_construct(source, mu, nu)
+    if isinstance(outcome, _cli.QuotientWitness):
         return _failed("incompatible: " + outcome.describe())
     return _emit(args, outcome)
 
 
 def _embed(args) -> tuple[int, str]:
-    triple = _load_as(args.inputs[0], CascadeTripleSemigroup, "a semigroup cascade-triple")
-    m1, m2 = (_load_as(path, SemigroupAutomatonFirst, "a first-semigroup automaton")
+    triple = _load_as(args.inputs[0], _cli.CascadeTripleSemigroup, "a semigroup cascade-triple")
+    m1, m2 = (_load_as(path, _cli.SemigroupAutomatonFirst, "a first-semigroup automaton")
               for path in args.inputs[1:])
-    mapping = embed_into_wreath(triple, m1, m2, cap=args.cap)
-    if isinstance(mapping, CheckReport):
+    mapping = _cli.embed_into_wreath(triple, m1, m2, cap=args.cap)
+    if isinstance(mapping, _cli.CheckReport):
         return _failed("triple invalid: " + mapping.describe())
     message = "embedding " + " ".join(str(v) for v in mapping)
     if args.output:
@@ -224,26 +211,27 @@ def _embed(args) -> tuple[int, str]:
     return _passed(message)
 
 
-def _load_element(path: str) -> MealyElement:
-    obj = _load_as(path, (MealyMachine, MealyElement), "a mealy machine")
-    return MealyElement(obj, 0) if isinstance(obj, MealyMachine) else obj
+def _load_element(path: str) -> _cli.MealyElement:
+    obj = _load_as(path, (_cli.MealyMachine, _cli.MealyElement), "a mealy machine")
+    return _cli.MealyElement(obj, 0) if isinstance(obj, _cli.MealyMachine) else obj
 
 
 def _apply(args) -> tuple[int, str]:
     if len(args.inputs) < 2:
         raise ValueError("apply takes a machine file and a word")
     e = _load_element(args.inputs[0])
-    return _passed(format_word(element_apply(e, parse_word(args.inputs[1:], e.machine.alphabet))))
+    word = parse_word(args.inputs[1:], e.machine.alphabet)
+    return _passed(format_word(_cli.element_apply(e, word)))
 
 
 def _equal(args) -> tuple[int, str]:
     e1, e2 = map(_load_element, args.inputs)
-    verdict = element_equal(e1, e2)
+    verdict = _cli.element_equal(e1, e2)
     lines = ["true" if verdict else "false"]
     if args.depth:
         # unequal elements agree on the words up to length d iff the
         # shortest word they map differently is longer than d
-        agree = verdict or args.depth < first_difference(e1, e2)
+        agree = verdict or args.depth < _cli.first_difference(e1, e2)
         lines.append(f"words up to length {args.depth} "
                      + ("agree" if agree else "disagree"))
     message = "\n".join(lines)
@@ -255,28 +243,30 @@ def _equal(args) -> tuple[int, str]:
 # verb -> (command, arity, the output options it refuses, run); apply's
 # arity is None, since its run takes a machine file and a word of any length
 _VERBS = {
-    "semigroupify": ("construct", 1, ("triple_out",), lambda args: _emit(args, semigroupify(
-        _load_as(args.inputs[0], PureAutomatonFirst, "a first-pure automaton"), cap=args.cap))),
+    "semigroupify": ("construct", 1, ("triple_out",), lambda args: _emit(args, _cli.semigroupify(
+        _load_as(args.inputs[0], _cli.PureAutomatonFirst, "a first-pure automaton"),
+        cap=args.cap))),
     "cascade": ("construct", 3, ("triple_out",), _cascade),
     "wreath": ("construct", 2, (), _wreath),
-    "serial": ("construct", 1, ("triple_out",), lambda args: _emit(args, serial_from_second(
-        _load_as(args.inputs[0], SemigroupAutomatonSecond, "a second-semigroup automaton")))),
+    "serial": ("construct", 1, ("triple_out",), lambda args: _emit(args, _cli.serial_from_second(
+        _load_as(args.inputs[0], _cli.SemigroupAutomatonSecond,
+                 "a second-semigroup automaton")))),
     "derive-second": ("construct", 1, ("triple_out",), lambda args: _emit(
-        args, derive_second_type(_load_as(args.inputs[0], SerialConnection,
-                                          "a serial connection")))),
+        args, _cli.derive_second_type(_load_as(args.inputs[0], _cli.SerialConnection,
+                                               "a serial connection")))),
     "quotient": ("construct", 3, ("triple_out",), _quotient),
     "embed": ("construct", 3, ("triple_out", "dot"), _embed),
     "apply": ("group", None, ("output", "dot"), _apply),
     "compose": ("group", 2, (), lambda args: _emit(
-        args, element_compose(*map(_load_element, args.inputs)))),
+        args, _cli.element_compose(*map(_load_element, args.inputs)))),
     "invert": ("group", 1, (), lambda args: _emit(
-        args, element_invert(_load_element(args.inputs[0])))),
+        args, _cli.element_invert(_load_element(args.inputs[0])))),
     "equal": ("group", 2, ("output", "dot"), _equal),
-    "order": ("group", 1, ("output", "dot"), lambda args: _passed(element_order_bounded(
+    "order": ("group", 1, ("output", "dot"), lambda args: _passed(_cli.element_order_bounded(
         _load_element(args.inputs[0]), max_power=args.max_power,
         max_states=args.max_states).describe())),
     "minimize": ("group", 1, (), lambda args: _emit(
-        args, minimize_element(_load_element(args.inputs[0])))),
+        args, _cli.minimize_element(_load_element(args.inputs[0])))),
 }
 
 
@@ -294,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--components", nargs=2, metavar=("M1", "M2"),
                        help="component automata for verifying a cascade triple")
     check.add_argument("--max-len", type=int, default=0,
-                       help="also check the pure models' word laws (0: off).  They are "
-                            "decided from the generator columns for every length "
-                            "at once, so the length sets no work")
+                       help="on a first-pure file, also build its semigroupify closure, "
+                            "which exits 2 past the size cap or the cell budget; any "
+                            "length above 0 does the same, 0 is off, and other types "
+                            "ignore the option")
     check.add_argument("--dot", help="write a DOT rendering of the object")
 
     construct = sub.add_parser("construct", help="run a construction and write the result")
@@ -350,8 +341,7 @@ def main(argv=None) -> int:
             return 2
     try:
         code, message = run(args)
-    except (schema.SchemaError, CapExceeded, NotInvertible, OSError, ValueError,
-            VerificationError) as exc:
+    except (CapExceeded, ImportError, OSError, ValueError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

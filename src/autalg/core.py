@@ -23,22 +23,12 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-DEFAULT_CAP = 1_000_000
+from .limits import DEFAULT_CAP, CapExceeded, VerificationError  # noqa: F401  re-exported
+
 # the most cells a package construction may fill in one table: an order
 # far under DEFAULT_CAP can still need order^2 cells.  2**26 admits order
 # 8192 (128 MiB of uint16) and refuses order 20,736 (860 MB)
 CELL_BUDGET = 2 ** 26
-
-
-class CapExceeded(RuntimeError):
-    """A closure or product construction grew past the configured cap."""
-
-
-class VerificationError(RuntimeError):
-    """A construction failed its own built-in verification.
-
-    Raising this signals an internal inconsistency, not bad user input.
-    """
 
 
 class NotInvertible(ValueError):

@@ -6,8 +6,10 @@ canonical element order, so equal objects produce identical bytes.
 
 The type table ``_TYPES`` is the one place where a tag, its class and
 its fields are decided: ``load_object`` and ``dump_object`` both read
-it, and each field kind has one load and one dump function.  Two tags
-name two classes each, and a key picks between them:
+it, and each field kind has one load and one dump function.  It names
+each class by module path, and a class's module is imported on the first
+load or dump of that type, so reading a file loads only its own types'
+modules.  Two tags name two classes each, and a key picks between them:
 
 * ``cascade-triple`` is a semigroup triple when ``gamma`` is present,
   else a pure triple (whose ``inputs`` default to one per ``beta`` entry);
@@ -54,6 +56,8 @@ array and stores it in its order's narrow dtype.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import re
 from itertools import chain
@@ -63,12 +67,7 @@ from typing import Callable
 import numpy as np
 import orjson
 
-from .cascade import CascadeTriplePure, CascadeTripleSemigroup
 from .core import FiniteSet, SemigroupTable, _byte_rows
-from .first_type import PureAutomatonFirst, SemigroupAutomatonFirst
-from .mealy import MealyElement, MealyMachine
-from .second_type import GeneratorHom, PureAutomatonSecond, SemigroupAutomatonSecond
-from .serial import SerialConnection
 
 
 class SchemaError(ValueError):
@@ -193,13 +192,22 @@ def _keyed(load: Callable, dump: Callable) -> tuple[Callable, Callable]:
             lambda value, key: {key: dump(value)})
 
 
-def _load_class(cls, data, where: str):
-    """Load ``data`` as the table's ``cls``, whose tag it carries."""
-    _, _, _, fields = _BY_CLASS[cls]
+@functools.cache
+def _class(path: str) -> type:
+    """The class at ``path``, a module of this package and a class name,
+    its module imported on first use."""
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def _load_class(row: tuple, data, where: str):
+    """Load ``data`` as the class of the table's ``row``, whose tag it carries."""
+    _, path, _, fields = row
     loaded: dict = {}
     for key, (load, _) in fields:
         loaded[key] = load(data, key, where, loaded)
-    return _build(cls, where, **{_ATTRIBUTE.get(key, key): value for key, value in loaded.items()})
+    return _build(_class(path), where,
+                  **{_ATTRIBUTE.get(key, key): value for key, value in loaded.items()})
 
 
 def dump_object(obj) -> dict:
@@ -217,8 +225,8 @@ def _lists(data):
 
 def _dump(obj) -> dict:
     """``dump_object``'s data, each product still an array."""
-    row = _BY_CLASS.get(type(obj))
-    if row is None:
+    row = _BY_NAME.get(type(obj).__name__)
+    if row is None or _class(row[1]) is not type(obj):
         raise TypeError(f"no schema for {type(obj).__name__}")
     tag, _, _, fields = row
     data = {"type": tag}
@@ -230,15 +238,15 @@ def _dump(obj) -> dict:
 def load_object(data, where: str = "file"):
     """Deserialize any supported object by its type tag."""
     tag = _get(data, "type", where)
-    for _, cls, selector, _ in _BY_TAG.get(tag, ()) if isinstance(tag, str) else ():
-        if selector is None or selector in data:
-            return _load_class(cls, data, where)
+    for row in _BY_TAG.get(tag, ()) if isinstance(tag, str) else ():
+        if row[2] is None or row[2] in data:  # no selecting key, or its key is present
+            return _load_class(row, data, where)
     raise SchemaError(f"{where}: unknown type {tag!r}")
 
 
 def _require_first_semigroup(data, key: str, where: str, loaded: dict):
-    _expect(isinstance(loaded[key], SemigroupAutomatonFirst), f"{where}.{key}",
-            "must be a first-semigroup automaton")
+    _expect(isinstance(loaded[key], _class("first_type.SemigroupAutomatonFirst")),
+            f"{where}.{key}", "must be a first-semigroup automaton")
     return loaded[key]
 
 
@@ -259,36 +267,39 @@ _OBJECT = _keyed(load_object, _dump)
 _MUST_BE_FIRST_SEMIGROUP = (_require_first_semigroup, lambda value, key: {})
 _TRIPLE_INPUTS = (_load_triple_inputs, _FINITE_SET[1])
 # a machine stored in the same JSON object as the element that pins it
-_MEALY_MACHINE = (lambda data, key, where, loaded: _load_class(MealyMachine, data, where),
-                  lambda value, key: _dump(value))
+_MEALY_MACHINE = (
+    lambda data, key, where, loaded: _load_class(_BY_NAME["MealyMachine"], data, where),
+    lambda value, key: _dump(value))
 
 _TABLES = (("next", _INT_TABLE), ("out", _INT_TABLE))
 _PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_SET), *_TABLES)
 
-# (tag, class, key whose presence selects the class, fields in load order)
+# (tag, class by module path, key whose presence selects the class,
+# fields in load order)
 _TYPES = (
-    ("first-pure", PureAutomatonFirst, None, _PURE),
-    ("first-semigroup", SemigroupAutomatonFirst, None, (
+    ("first-pure", "first_type.PureAutomatonFirst", None, _PURE),
+    ("first-semigroup", "first_type.SemigroupAutomatonFirst", None, (
         ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("outputs", _FINITE_SET), *_TABLES)),
-    ("second-pure", PureAutomatonSecond, None, _PURE),
-    ("second-semigroup", SemigroupAutomatonSecond, None, (
+    ("second-pure", "second_type.PureAutomatonSecond", None, _PURE),
+    ("second-semigroup", "second_type.SemigroupAutomatonSecond", None, (
         ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("sigma", _SEMIGROUP), *_TABLES)),
-    ("cascade-triple", CascadeTripleSemigroup, "gamma", (
+    ("cascade-triple", "cascade.CascadeTripleSemigroup", "gamma", (
         ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("gamma", _SEMIGROUP))),
-    ("cascade-triple", CascadeTriplePure, None, (
+    ("cascade-triple", "cascade.CascadeTriplePure", None, (
         ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("inputs", _TRIPLE_INPUTS))),
     # the machine is validated before the initial state is read
-    ("mealy", MealyElement, "initial", (("machine", _MEALY_MACHINE), ("initial", _INT))),
-    ("mealy", MealyMachine, None, (("states", _INT), ("alphabet", _INT), *_TABLES)),
-    ("generator-hom", GeneratorHom, None, (
+    ("mealy", "mealy.MealyElement", "initial", (("machine", _MEALY_MACHINE), ("initial", _INT))),
+    ("mealy", "mealy.MealyMachine", None, (("states", _INT), ("alphabet", _INT), *_TABLES)),
+    ("generator-hom", "second_type.GeneratorHom", None, (
         ("alphabet_size", _INT), ("target", _SEMIGROUP), ("assignment", _INT_LIST))),
     # the components are type-checked only once both have loaded
-    ("serial", SerialConnection, None, (
+    ("serial", "serial.SerialConnection", None, (
         ("first", _OBJECT), ("second", _OBJECT), ("first", _MUST_BE_FIRST_SEMIGROUP),
         ("second", _MUST_BE_FIRST_SEMIGROUP), ("alpha", _INT_TABLE))),
 )
 _BY_TAG = {tag: [row for row in _TYPES if row[0] == tag] for tag, *_ in _TYPES}
-_BY_CLASS = {row[1]: row for row in _TYPES}
+# class name -> row; the names are distinct, and ``_dump`` checks the class itself
+_BY_NAME = {row[1].rpartition(".")[2]: row for row in _TYPES}
 # JSON keys that name a differently named attribute
 _ATTRIBUTE = {"semigroup": "gamma"}
 

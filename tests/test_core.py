@@ -674,10 +674,20 @@ class TestPublicSurface:
     }
 
     def test_exported_names_are_pinned(self):
+        # names resolve on first use, so vars(autalg) alone holds only those asked for
         import autalg
-        exported = sorted(name for name, value in vars(autalg).items()
-                          if not name.startswith("_") and not isinstance(value, types.ModuleType))
-        assert exported == self.EXPORTED
+        assert sorted(autalg.__all__) == self.EXPORTED
+        assert set(self.EXPORTED) <= set(dir(autalg))
+        for name in self.EXPORTED:
+            value = getattr(autalg, name)
+            assert value.__module__.startswith("autalg."), name
+            assert getattr(importlib.import_module(value.__module__), value.__name__) is value
+            assert value.__name__ == name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            autalg.no_such_name
+        public = sorted(name for name, value in vars(autalg).items()
+                        if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        assert public == self.EXPORTED
 
     def test_moved_and_deleted_names_are_gone(self):
         import autalg

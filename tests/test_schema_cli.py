@@ -676,7 +676,8 @@ class TestCheckCommand:
         assert code == 0
 
     def test_word_bound_check_on_pure_files(self):
-        # the length sets no work, so 64 (2**64 words) passes at once
+        # any length builds the first-pure closure once, and a second-pure
+        # file ignores the option, so 64 (2**64 words) passes at once
         for max_len in ("4", "64"):
             assert main(["check", str(FIXTURES / "first_pure_swap.json"),
                          "--max-len", max_len]) == 0
@@ -1313,6 +1314,55 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 0"
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports ``autalg`` from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def loaded_by(code: str) -> set[str]:
+    """The ``autalg`` modules a fresh interpreter has loaded once ``code`` has run."""
+    proc = run_child(code + "\nimport json, sys\nprint(json.dumps("
+                     "[m for m in sys.modules if m.startswith('autalg.')]))")
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("autalg.") for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def verb_code(*argv: str) -> str:
+    return f"from autalg.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+class TestImportSets:
+    """Each verb imports only the modules it runs."""
+
+    def test_building_the_parser_loads_no_verb_module(self):
+        assert loaded_by("import autalg.cli\nautalg.cli.build_parser()") == {"cli", "limits"}
+
+    def test_group_order_loads_only_the_word_machines(self):
+        code = verb_code("group", "order", str(FIXTURES / "mealy_odometer.json"))
+        assert loaded_by(code) == {"cli", "core", "limits", "mealy", "schema"}
+
+    def test_check_loads_only_its_own_type(self):
+        loaded = loaded_by(verb_code("check", str(FIXTURES / "first_semigroup_swap.json")))
+        assert "first_type" in loaded
+        assert not loaded & {"mealy", "cascade", "second_type", "serial", "dot"}
+
+    def test_dot_loads_only_for_the_dot_option(self, tmp_path):
+        swap = str(FIXTURES / "first_semigroup_swap.json")
+        assert "dot" in loaded_by(verb_code("check", swap, "--dot", str(tmp_path / "s.dot")))
+        assert "dot" not in loaded_by(verb_code("check", swap))
+
+    def test_an_import_error_inside_a_verb_exits_2(self):
+        argv = ["group", "order", str(FIXTURES / "mealy_odometer.json")]
+        proc = run_child("import sys\nsys.modules['numpy'] = None\n"
+                         f"from autalg.cli import main\nsys.exit(main({argv!r}))")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "numpy" in proc.stderr
 
 
 # runs ``cli.main`` on every argv list read from stdin, under a 3 GB
