@@ -14,7 +14,11 @@ command, its arity, the output options it refuses and the function that
 runs it.  ``build_parser`` takes each command's verb choices from the
 table, and ``main`` checks a verb's arguments and dispatches it through
 its row; ``check``, which has no verb, runs ``cmd_check``.  A run function
-returns ``(exit code, message)``, and ``main`` prints the message.
+returns a plain ``(exit code, message)`` tuple, and ``main`` prints the
+message.  A usage error that argparse does not catch (a verb's arity, an
+option it refuses, a bound below its least value) raises ``ValueError``
+inside the same ``try`` as a run, so every ``error: ...`` line leaves
+through one path.
 
 This module imports no other module of the package at the top but
 ``limits``.  The ``schema`` and ``dot`` modules and the names ``autalg``
@@ -55,28 +59,18 @@ def __getattr__(name: str):
     return value
 
 
-def _passed(message: str) -> tuple[int, str]:
-    return 0, message
-
-
-def _failed(message: str) -> tuple[int, str]:
-    return 1, message
-
-
 def parse_word(tokens: list[str], alphabet_size: int) -> Word:
     """Letters as whitespace-separated labels, one letter per token.
 
     The compact form, a single all-digit token read one character per
     letter, is accepted only for alphabets of at most ten letters, where
     every letter is one digit; otherwise each token is one letter."""
-    if (len(tokens) == 1 and len(tokens[0]) > 1 and alphabet_size <= 10
-            and all(c.isdigit() for c in tokens[0])):
-        letters = tuple(int(c) for c in tokens[0])
-    else:
-        try:
-            letters = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise ValueError(f"cannot parse word from {tokens!r}") from None
+    compact = (len(tokens) == 1 and len(tokens[0]) > 1 and alphabet_size <= 10
+               and tokens[0].isdigit())
+    try:
+        letters = tuple(map(int, tokens[0] if compact else tokens))
+    except ValueError:
+        raise ValueError(f"cannot parse word from {tokens!r}") from None
     return _cli.Word(letters, alphabet_size)
 
 
@@ -97,8 +91,8 @@ def _emit(args, built) -> tuple[int, str]:
     text = None if args.dot is None else _cli.dot.to_dot(built)
     message = _write(args.output, built)
     if text is not None:
-        Path(args.dot).write_text(text)
-    return _passed(message)
+        Path(args.dot).write_text(text, encoding="utf-8")
+    return 0, message
 
 
 def _load_as(path: str, kind, what: str):
@@ -124,7 +118,7 @@ def cmd_check(args) -> tuple[int, str]:
     if args.components and not triple:
         raise ValueError(f"{args.file}: --components takes a cascade-triple")
     if args.dot is not None:
-        Path(args.dot).write_text(_cli.dot.to_dot(obj))
+        Path(args.dot).write_text(_cli.dot.to_dot(obj), encoding="utf-8")
     report = _cli.CheckReport.passed()
     notes = []
     if kind == "SemigroupAutomatonFirst":
@@ -152,17 +146,11 @@ def cmd_check(args) -> tuple[int, str]:
     elif kind in ("MealyMachine", "MealyElement"):
         machine = obj.machine if kind == "MealyElement" else obj
         notes.append("invertible" if _cli.is_invertible(machine) else "not invertible")
-    elif kind == "PureAutomatonFirst" and args.max_len:
-        # generator x is the flat tuple of input x's next and out columns,
-        # found by equality, so image.next[a][gens[x]] == obj.next[a][x] and
-        # likewise for out: the image agrees by construction, and only the
-        # closure's CapExceeded or VerificationError can end this branch
-        _cli.semigroupify(obj)
     if not report.ok:
         prefix = f"{notes[0]}: " if notes else ""
-        return _failed(prefix + report.describe())
+        return 1, prefix + report.describe()
     suffix = f" ({'; '.join(notes)})" if notes else ""
-    return _passed("pass" + suffix)
+    return 0, "pass" + suffix
 
 
 def _cascade(args) -> tuple[int, str]:
@@ -173,7 +161,7 @@ def _cascade(args) -> tuple[int, str]:
         return _emit(args, _cli.cascade_pure(m1, m2, triple))
     report = _cli.check_semigroup_triple(triple, m1, m2)
     if not report.ok:
-        return _failed(report.describe())
+        return 1, report.describe()
     return _emit(args, _cli.cascade_semigroup(m1, m2, triple))
 
 
@@ -191,7 +179,7 @@ def _quotient(args) -> tuple[int, str]:
     mu, nu = (_load_as(path, _cli.GeneratorHom, "a generator-hom") for path in args.inputs[1:])
     outcome = _cli.quotient_construct(source, mu, nu)
     if isinstance(outcome, _cli.QuotientWitness):
-        return _failed("incompatible: " + outcome.describe())
+        return 1, "incompatible: " + outcome.describe()
     return _emit(args, outcome)
 
 
@@ -201,14 +189,14 @@ def _embed(args) -> tuple[int, str]:
               for path in args.inputs[1:])
     mapping = _cli.embed_into_wreath(triple, m1, m2, cap=args.cap)
     if isinstance(mapping, _cli.CheckReport):
-        return _failed("triple invalid: " + mapping.describe())
+        return 1, "triple invalid: " + mapping.describe()
     message = "embedding " + " ".join(str(v) for v in mapping)
     if args.output:
         Path(args.output).write_text(json.dumps(
             {"type": "embedding", "mapping": list(mapping)},
             indent=2, sort_keys=True) + "\n")
         message += f"\nwrote {args.output}"
-    return _passed(message)
+    return 0, message
 
 
 def _load_element(path: str) -> _cli.MealyElement:
@@ -221,7 +209,7 @@ def _apply(args) -> tuple[int, str]:
         raise ValueError("apply takes a machine file and a word")
     e = _load_element(args.inputs[0])
     word = parse_word(args.inputs[1:], e.machine.alphabet)
-    return _passed(format_word(_cli.element_apply(e, word)))
+    return 0, format_word(_cli.element_apply(e, word))
 
 
 def _equal(args) -> tuple[int, str]:
@@ -234,10 +222,7 @@ def _equal(args) -> tuple[int, str]:
         agree = verdict or args.depth < _cli.first_difference(e1, e2)
         lines.append(f"words up to length {args.depth} "
                      + ("agree" if agree else "disagree"))
-    message = "\n".join(lines)
-    if verdict:
-        return _passed(message)
-    return _failed(message)
+    return (0 if verdict else 1), "\n".join(lines)
 
 
 # verb -> (command, arity, the output options it refuses, run); apply's
@@ -262,7 +247,7 @@ _VERBS = {
     "invert": ("group", 1, (), lambda args: _emit(
         args, _cli.element_invert(_load_element(args.inputs[0])))),
     "equal": ("group", 2, ("output", "dot"), _equal),
-    "order": ("group", 1, ("output", "dot"), lambda args: _passed(_cli.element_order_bounded(
+    "order": ("group", 1, ("output", "dot"), lambda args: (0, _cli.element_order_bounded(
         _load_element(args.inputs[0]), max_power=args.max_power,
         max_states=args.max_states).describe())),
     "minimize": ("group", 1, (), lambda args: _emit(
@@ -283,11 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.add_argument("--components", nargs=2, metavar=("M1", "M2"),
                        help="component automata for verifying a cascade triple")
-    check.add_argument("--max-len", type=int, default=0,
-                       help="on a first-pure file, also build its semigroupify closure, "
-                            "which exits 2 past the size cap or the cell budget; any "
-                            "length above 0 does the same, 0 is off, and other types "
-                            "ignore the option")
     check.add_argument("--dot", help="write a DOT rendering of the object")
 
     construct = sub.add_parser("construct", help="run a construction and write the result")
@@ -327,19 +307,15 @@ def main(argv=None) -> int:
         return exc.code
     # check has no verb: it takes one file and refuses no option
     _, arity, unused, run = _VERBS.get(getattr(args, "verb", None), (None, None, (), cmd_check))
-    if arity is not None and len(args.inputs) != arity:
-        print(f"error: {args.verb} takes {arity} input file(s), got {len(args.inputs)}",
-              file=sys.stderr)
-        return 2
-    for option in unused:
-        if getattr(args, option) is not None:
-            print(f"error: {args.verb} takes no --{option.replace('_', '-')}", file=sys.stderr)
-            return 2
-    for option, low in (("max_len", 0), ("depth", 0), ("max_power", 1), ("max_states", 1)):
-        if getattr(args, option, low) < low:
-            print(f"error: --{option.replace('_', '-')} must be at least {low}", file=sys.stderr)
-            return 2
     try:
+        if arity is not None and len(args.inputs) != arity:
+            raise ValueError(f"{args.verb} takes {arity} input file(s), got {len(args.inputs)}")
+        for option in unused:
+            if getattr(args, option) is not None:
+                raise ValueError(f"{args.verb} takes no --{option.replace('_', '-')}")
+        for option, low in (("depth", 0), ("max_power", 1), ("max_states", 1)):
+            if getattr(args, option, low) < low:
+                raise ValueError(f"--{option.replace('_', '-')} must be at least {low}")
         code, message = run(args)
     except (CapExceeded, ImportError, OSError, ValueError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,11 @@ canonical element order, so equal objects produce identical bytes.
 The type table ``_TYPES`` is the one place where a tag, its class and
 its fields are decided: ``load_object`` and ``dump_object`` both read
 it, and each field kind has one load and one dump function.  It names
-each class by module path, and a class's module is imported on the first
-load or dump of that type, so reading a file loads only its own types'
-modules.  Two tags name two classes each, and a key picks between them:
+each class by its exported name and reads it from the ``autalg``
+package, whose ``_EXPORTS`` is the one table of the module that defines
+each class; the package imports a class's module on its first use, so
+reading a file loads only its own types' modules.  Two tags name two
+classes each, and a key picks between them:
 
 * ``cascade-triple`` is a semigroup triple when ``gamma`` is present,
   else a pure triple (whose ``inputs`` default to one per ``beta`` entry);
@@ -56,10 +58,9 @@ array and stores it in its order's narrow dtype.
 
 from __future__ import annotations
 
-import functools
-import importlib
 import json
 import re
+import sys
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -192,21 +193,19 @@ def _keyed(load: Callable, dump: Callable) -> tuple[Callable, Callable]:
             lambda value, key: {key: dump(value)})
 
 
-@functools.cache
-def _class(path: str) -> type:
-    """The class at ``path``, a module of this package and a class name,
-    its module imported on first use."""
-    module, _, name = path.rpartition(".")
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+def _class(name: str) -> type:
+    """The class the package exports as ``name``, its module imported on
+    first use."""
+    return getattr(sys.modules[__package__], name)
 
 
 def _load_class(row: tuple, data, where: str):
     """Load ``data`` as the class of the table's ``row``, whose tag it carries."""
-    _, path, _, fields = row
+    _, name, _, fields = row
     loaded: dict = {}
     for key, (load, _) in fields:
         loaded[key] = load(data, key, where, loaded)
-    return _build(_class(path), where,
+    return _build(_class(name), where,
                   **{_ATTRIBUTE.get(key, key): value for key, value in loaded.items()})
 
 
@@ -245,7 +244,7 @@ def load_object(data, where: str = "file"):
 
 
 def _require_first_semigroup(data, key: str, where: str, loaded: dict):
-    _expect(isinstance(loaded[key], _class("first_type.SemigroupAutomatonFirst")),
+    _expect(isinstance(loaded[key], _class("SemigroupAutomatonFirst")),
             f"{where}.{key}", "must be a first-semigroup automaton")
     return loaded[key]
 
@@ -274,32 +273,32 @@ _MEALY_MACHINE = (
 _TABLES = (("next", _INT_TABLE), ("out", _INT_TABLE))
 _PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_SET), *_TABLES)
 
-# (tag, class by module path, key whose presence selects the class,
+# (tag, class by exported name, key whose presence selects the class,
 # fields in load order)
 _TYPES = (
-    ("first-pure", "first_type.PureAutomatonFirst", None, _PURE),
-    ("first-semigroup", "first_type.SemigroupAutomatonFirst", None, (
+    ("first-pure", "PureAutomatonFirst", None, _PURE),
+    ("first-semigroup", "SemigroupAutomatonFirst", None, (
         ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("outputs", _FINITE_SET), *_TABLES)),
-    ("second-pure", "second_type.PureAutomatonSecond", None, _PURE),
-    ("second-semigroup", "second_type.SemigroupAutomatonSecond", None, (
+    ("second-pure", "PureAutomatonSecond", None, _PURE),
+    ("second-semigroup", "SemigroupAutomatonSecond", None, (
         ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("sigma", _SEMIGROUP), *_TABLES)),
-    ("cascade-triple", "cascade.CascadeTripleSemigroup", "gamma", (
+    ("cascade-triple", "CascadeTripleSemigroup", "gamma", (
         ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("gamma", _SEMIGROUP))),
-    ("cascade-triple", "cascade.CascadeTriplePure", None, (
+    ("cascade-triple", "CascadeTriplePure", None, (
         ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("inputs", _TRIPLE_INPUTS))),
     # the machine is validated before the initial state is read
-    ("mealy", "mealy.MealyElement", "initial", (("machine", _MEALY_MACHINE), ("initial", _INT))),
-    ("mealy", "mealy.MealyMachine", None, (("states", _INT), ("alphabet", _INT), *_TABLES)),
-    ("generator-hom", "second_type.GeneratorHom", None, (
+    ("mealy", "MealyElement", "initial", (("machine", _MEALY_MACHINE), ("initial", _INT))),
+    ("mealy", "MealyMachine", None, (("states", _INT), ("alphabet", _INT), *_TABLES)),
+    ("generator-hom", "GeneratorHom", None, (
         ("alphabet_size", _INT), ("target", _SEMIGROUP), ("assignment", _INT_LIST))),
     # the components are type-checked only once both have loaded
-    ("serial", "serial.SerialConnection", None, (
+    ("serial", "SerialConnection", None, (
         ("first", _OBJECT), ("second", _OBJECT), ("first", _MUST_BE_FIRST_SEMIGROUP),
         ("second", _MUST_BE_FIRST_SEMIGROUP), ("alpha", _INT_TABLE))),
 )
 _BY_TAG = {tag: [row for row in _TYPES if row[0] == tag] for tag, *_ in _TYPES}
 # class name -> row; the names are distinct, and ``_dump`` checks the class itself
-_BY_NAME = {row[1].rpartition(".")[2]: row for row in _TYPES}
+_BY_NAME = {row[1]: row for row in _TYPES}
 # JSON keys that name a differently named attribute
 _ATTRIBUTE = {"semigroup": "gamma"}
 

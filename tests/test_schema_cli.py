@@ -675,43 +675,6 @@ class TestCheckCommand:
                      str(FIXTURES / "first_semigroup_z2.json")])
         assert code == 0
 
-    def test_word_bound_check_on_pure_files(self):
-        # any length builds the first-pure closure once, and a second-pure
-        # file ignores the option, so 64 (2**64 words) passes at once
-        for max_len in ("4", "64"):
-            assert main(["check", str(FIXTURES / "first_pure_swap.json"),
-                         "--max-len", max_len]) == 0
-            assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
-                         "--max-len", max_len]) == 0
-
-    def test_word_bound_check_ends_only_by_the_closure_errors(self, monkeypatch, capsys):
-        # the image agrees with the automaton by construction: what the
-        # closure raises is all that --max-len can report
-        def failing(m):
-            raise VerificationError("closure table differs from the pair product at state 0")
-
-        monkeypatch.setattr(cli, "semigroupify", failing)
-        assert main(["check", str(FIXTURES / "first_pure_swap.json"),
-                     "--max-len", "1"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: closure table differs from the pair product at state 0\n")
-
-    def test_word_bound_check_builds_the_closure(self, tmp_path, capsys):
-        # T_6: the cycle, a swap and a collapse on 6 states; its closure
-        # passes the cell budget, so only the plain check passes
-        path = tmp_path / "t6_pure.json"
-        path.write_text(json.dumps({
-            "type": "first-pure", "states": {"size": 6}, "inputs": {"size": 3},
-            "outputs": {"size": 1},
-            "next": [[1, 1, 0], [2, 0, 0], [3, 2, 2], [4, 3, 3], [5, 4, 4], [0, 5, 5]],
-            "out": [[0, 0, 0]] * 6}))
-        assert main(["check", str(path), "--max-len", "2"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: closure exceeded the cell budget of 67108864 cells: 8193 elements "
-                "found by words of length 12 need 67125249 table cells (134250498 bytes)\n")
-        assert main(["check", str(path)]) == 0
-        assert capsys.readouterr() == ("pass\n", "")
-
     def test_serial_check_stops_at_its_first_failing_part(self, tmp_path, monkeypatch, capsys):
         data = copy.deepcopy(CORPUS["serial_reset.json"])
         data["first"]["next"] = [[1, 0], [0, 1]]
@@ -729,12 +692,13 @@ class TestCheckCommand:
             "lhs = 1, rhs = 0\n", "")
         assert calls == []
 
-    def test_negative_max_len_is_an_input_error(self, capsys):
+    def test_max_len_is_an_unrecognized_argument(self, capsys):
+        # the closure of a first-pure file is built by construct semigroupify
         assert main(["check", str(FIXTURES / "second_pure_odometer.json"),
-                     "--max-len", "-2"]) == 2
+                     "--max-len", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --max-len must be at least 0\n"
+        assert captured.err.endswith("error: unrecognized arguments: --max-len 1\n")
 
     def test_corrupt_witness_is_printed(self, capsys):
         assert main(["check", str(FIXTURES / "first_semigroup_corrupt.json")]) == 1
@@ -800,6 +764,23 @@ class TestConstructCommand:
         assert capsys.readouterr().err == (
             "error: closure exceeded cap 1: 2 elements found by words of length 2\n")
         assert not (tmp_path / "never.json").exists()
+
+    def test_semigroupify_past_the_cell_budget_is_an_input_error(self, tmp_path, capsys):
+        # T_6: the cycle, a swap and a collapse on 6 states; its closure
+        # passes the cell budget, so only the plain check passes
+        path, out = tmp_path / "t6_pure.json", tmp_path / "out.json"
+        path.write_text(json.dumps({
+            "type": "first-pure", "states": {"size": 6}, "inputs": {"size": 3},
+            "outputs": {"size": 1},
+            "next": [[1, 1, 0], [2, 0, 0], [3, 2, 2], [4, 3, 3], [5, 4, 4], [0, 5, 5]],
+            "out": [[0, 0, 0]] * 6}))
+        assert main(["construct", "semigroupify", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: closure exceeded the cell budget of 67108864 cells: 8193 elements "
+                "found by words of length 12 need 67125249 table cells (134250498 bytes)\n")
+        assert not out.exists()
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr() == ("pass\n", "")
 
     def test_wreath_past_the_cell_budget_is_an_input_error(self, tmp_path, capsys):
         labels, out = str(FIXTURES / "first_semigroup_labels.json"), tmp_path / "never.json"
@@ -1178,6 +1159,16 @@ class TestWordParsing:
         with pytest.raises(ValueError):
             parse_word(["zero"], 2)
 
+    @pytest.mark.parametrize("token, message", [
+        # superscript digits pass str.isdigit, but int refuses them
+        ("\u00b2\u00b2", "cannot parse word from ['\u00b2\u00b2']"),
+        # Arabic-Indic digits are read as their values
+        ("\u0663\u0663", "letters (3, 3) out of range 0..1"),
+    ])
+    def test_compact_unicode_digits(self, capsys, token, message):
+        assert main(["group", "apply", str(FIXTURES / "mealy_odometer.json"), token]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 # a cascade's or a checked triple's input files of the wrong type
 @pytest.mark.parametrize("argv, bad", [
@@ -1316,9 +1307,10 @@ def test_console_script_runs():
     assert proc.stdout.strip() == "1 0"
 
 
-def run_child(code: str) -> subprocess.CompletedProcess:
-    """``code`` run in a fresh interpreter that imports ``autalg`` from this tree."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def run_child(code: str, **env: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports ``autalg`` from this
+    tree, with ``env`` added to its environment."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
@@ -1363,6 +1355,30 @@ class TestImportSets:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "numpy" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, rendered", [
+    (["check", "first_pure_labels.json"], "first_pure_labels.json"),
+    (["construct", "semigroupify", "first_pure_labels.json"], "first_semigroup_labels.json"),
+])
+def test_dot_is_written_as_utf8_in_any_locale(tmp_path, argv, rendered):
+    # the labels hold DEL, an accented letter and an astral emoji, which
+    # the C locale's ASCII cannot encode
+    target = tmp_path / "l.dot"
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    proc = run_child("import sys\nfrom autalg.cli import main\n"
+                     f"sys.exit(main({[*argv, '--dot', str(target)]!r}))",
+                     LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert target.read_bytes() == to_dot(load(FIXTURES / rendered)).encode("utf-8")
+
+
+def test_schema_classes_are_package_exports():
+    # schema reads each class from the package by name: a name missing
+    # from the export table would raise AttributeError, which main does not catch
+    import autalg
+
+    assert {row[1] for row in schema._TYPES} <= set(autalg.__all__)
 
 
 # runs ``cli.main`` on every argv list read from stdin, under a 3 GB
