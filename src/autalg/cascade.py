@@ -77,17 +77,22 @@ def check_pure_triple(t: CascadeTriplePure, m1: PureAutomatonFirst,
 def _cascade_tables(m1, m2, t) -> tuple:
     """States, outputs, transition and output tables of the cascade of
     m1 and m2 along ``t``: column x of the cascade runs m1 on
-    alpha(a2, x) and m2 on beta(x)."""
-    n2, b2 = m2.states.size, m2.outputs.size
-    columns = [list(zip(row, t.beta)) for row in t.alpha]  # [a2][x] -> (x1, x2)
-    nxt, out = [], []
-    for a1 in range(m1.states.size):
-        next1, out1 = m1.next[a1], m1.out[a1]
-        for next2, out2, pairs in zip(m2.next, m2.out, columns):
-            nxt.append(tuple(next1[x1] * n2 + next2[x2] for x1, x2 in pairs))
-            out.append(tuple(out1[x1] * b2 + out2[x2] for x1, x2 in pairs))
+    alpha(a2, x) and m2 on beta(x).  Row a1 * |A2| + a2 is gathered for
+    all states at once:
+
+        next[(a1, a2)][x] == N1[a1, alpha[a2, x]] * |A2| + N2[a2, beta[x]],
+
+    and out likewise with |B2|, in ``np.intp``."""
+    alpha, beta = np.array(t.alpha, dtype=np.intp), np.array(t.beta, dtype=np.intp)
+    rows2 = np.arange(m2.states.size)[:, None]
+
+    def table(first, second, base: int) -> tuple[tuple[int, ...], ...]:
+        first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+        cells = first[:, alpha] * base + second[rows2, beta]  # [a1, a2, x]
+        return tuple(map(tuple, cells.reshape(-1, len(beta)).tolist()))
+
     return (product_set(m1.states, m2.states), product_set(m1.outputs, m2.outputs),
-            tuple(nxt), tuple(out))
+            table(m1.next, m2.next, m2.states.size), table(m1.out, m2.out, m2.outputs.size))
 
 
 def cascade_pure(m1: PureAutomatonFirst, m2: PureAutomatonFirst,

@@ -270,27 +270,32 @@ class _Tree(NamedTuple):
     level.  A root e has ``parent[e] == -1``; any other tree element e is
     ``parent[e]`` times letter ``letter[e]``.  ``letter[e]`` is -1 for an
     element off the tree.  The letters on the path from a root down to e
-    are e's tree word (``_tree_word``)."""
+    are e's tree word (``_tree_word``).  A level is an index array, or a
+    slice where its elements are consecutive indices, as in
+    ``close_generators``, which numbers elements as it discovers them.
+    Only ``_fold_tree`` takes slice levels: a slice tree must not reach a
+    caller that concatenates its levels, as ``second_type`` does with a
+    ``_generated_tree`` tree."""
 
-    levels: list[np.ndarray]
+    levels: list[np.ndarray | slice]
     parent: np.ndarray
     letter: np.ndarray
 
 
-def _grow_tree(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
-               reached: np.ndarray) -> _Tree:
-    """Mark in ``reached`` the elements of ``start`` and, breadth first,
-    every product e g of an element e marked by this call and g in
-    ``gens``; return the tree of the elements this call marked.
-    Elements marked before the call are not expanded.
+def _generated_tree(product: np.ndarray, gens: Sequence[int]) -> _Tree:
+    """The tree of the products of ``gens``, rooted at the generators:
+    the generators, then breadth first every product e g of a tree
+    element e and a generator g.
 
     A level lists its new elements in order of first occurrence, with
     the previous level's elements taken in order and the letters of each
     in order, as ``close_generators`` discovers them.  A root's letter is
-    its first position in ``start``; any other element's letter is the
+    its first position in ``gens``; any other element's letter is the
     position in ``gens`` of the column it was first found in."""
+    letters = np.array(gens, dtype=np.intp)
+    reached = np.zeros(len(product), dtype=bool)
     parent, letter = np.full((2, len(product)), -1, dtype=np.intp)
-    levels, frontier, candidates, width = [], np.array([-1]), start, len(start)
+    levels, frontier, candidates, width = [], np.array([-1]), letters, len(letters)
     while True:
         fresh = np.flatnonzero(~reached[candidates])
         if not fresh.size:
@@ -302,14 +307,8 @@ def _grow_tree(product: np.ndarray, start: np.ndarray, gens: np.ndarray,
         parent[level], letter[level] = frontier[first // width], first % width
         levels.append(level)
         # indices in np.intp: NumPy gathers by narrow index arrays several times slower
-        candidates = product[level[:, None], gens].ravel().astype(np.intp)
-        frontier, width = level, len(gens)
-
-
-def _generated_tree(product: np.ndarray, gens: Sequence[int]) -> _Tree:
-    """The tree of the products of ``gens``, rooted at the generators."""
-    start = np.array(gens, dtype=np.intp)
-    return _grow_tree(product, start, start, np.zeros(len(product), dtype=bool))
+        candidates = product[level[:, None], letters].ravel().astype(np.intp)
+        frontier = level
 
 
 def _tree_word(tree: _Tree, e: int) -> tuple[int, ...]:
@@ -327,8 +326,9 @@ def _fold_tree(right: np.ndarray, start: np.ndarray, tree: _Tree) -> np.ndarray:
 
         folded[:, e] == right[folded[:, parent[e]], letter[e]],
 
-    and a root from ``start`` itself.  Columns off the tree are left
-    unset.  The result has ``right``'s dtype."""
+    and a root from ``start`` itself.  A level given as a slice is
+    written through a view, with no index array.  Columns off the tree
+    are left unset.  The result has ``right``'s dtype."""
     folded = np.empty((len(start), len(tree.parent)), dtype=right.dtype)
     for k, nodes in enumerate(tree.levels):
         at = start[:, None] if k == 0 else folded[:, tree.parent[nodes]]
@@ -343,15 +343,40 @@ def unreached(product: np.ndarray, gens: Sequence[int]) -> list[int]:
 
 def _greedy_generators(product: np.ndarray) -> tuple[int, ...]:
     """A generating set chosen greedily: each element not yet reached by
-    right multiplication joins it, in index order."""
-    reached = np.zeros(len(product), dtype=bool)
+    right multiplication joins it, in index order.
+
+    The elements reached before a new generator g have met every earlier
+    generator, so g itself and their products with g are the new start;
+    each element reached from there is expanded by every generator so
+    far.  The reached set is then the right closure of the generators, so
+    the set chosen does not depend on the order of the walk.
+
+    The walk runs over Python lists and builds no tree: ``reached`` marks
+    the elements reached so far, in ``order`` as they were reached, and
+    each generator reads its column ``product[:, g]`` once."""
+    reached = bytearray(len(product))
+    order: list[int] = []
+    columns: list[list[int]] = []  # columns[k][e] == e g_k
     gens: list[int] = []
     for i in range(len(product)):
         if reached[i]:
             continue
         gens.append(i)
-        # reached elements have met every earlier generator, not this one
-        _grow_tree(product, np.append(product[reached, i], i), np.array(gens), reached)
+        column = product[:, i].tolist()
+        columns.append(column)
+        k = len(order)
+        for e in [i, *map(column.__getitem__, order)]:
+            if not reached[e]:
+                reached[e] = 1
+                order.append(e)
+        while k < len(order):
+            e = order[k]
+            k += 1
+            for column in columns:
+                f = column[e]
+                if not reached[f]:
+                    reached[f] = 1
+                    order.append(f)
     return tuple(gens)
 
 
@@ -589,8 +614,9 @@ def close_generators(generators: Sequence[Hashable],
     R[e, l] = e g_l and records each new element j as p(j) g_l(j), its
     parent times its last letter.  The table is then that tree folded
     through R from every element x at once (``_fold_tree``), a BFS level
-    at a time.  A generator's column is a column of R, and for a later
-    element
+    at a time; elements are numbered as they are found, so each level is
+    a contiguous index range and is passed as a slice.  A generator's
+    column is a column of R, and for a later element
 
         x j == x (p(j) g_l(j)) == (x p(j)) g_l(j) == R[x p(j), l(j)],
 
@@ -650,7 +676,7 @@ def close_generators(generators: Sequence[Hashable],
             right.append(row)
         bounds.append(len(elements))
     n = len(elements)
-    tree = _Tree([np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+    tree = _Tree([slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
                  np.array(parent, dtype=np.intp), np.array([w[-1] for w in names], dtype=np.intp))
     product = _fold_tree(np.array(right, dtype=_index_dtype(n)), np.arange(n), tree)
     product.flags.writeable = False

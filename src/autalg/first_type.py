@@ -103,11 +103,18 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     letter x corresponds to generator position x of the result's
     semigroup (``gamma.generators[x]``).
 
-    The closure runs over flat int tuples (see ``multiply_flat``) rather
-    than ``PairElement`` objects.  The codomain B is fixed, so two flat
-    tuples are equal exactly when their pairs are: the elements, their
-    order and the table are those of closing ``to_universal(m)`` under
-    ``multiply_pair``.
+    The closure runs over flat encodings of the pairs rather than
+    ``PairElement`` objects: (sigma(0), .., sigma(a-1), phi(0), ..,
+    phi(a-1)), as ``bytes`` when every state and output index fits in a
+    byte (at most 256 states and 256 outputs), and as an int tuple
+    otherwise, where ``multiply_flat`` is the product.  The codomain B is
+    fixed, so each encoding has length 2a and two encodings are equal
+    exactly when their pairs are: the elements, their order and the table
+    are those of closing ``to_universal(m)`` under ``multiply_pair``.  On
+    bytes, e g is ``s.translate(sigma_g) + s.translate(phi_g)`` with
+    ``s = e[:a]``, where the 256-byte tables sigma_g and phi_g map state i
+    to g's sigma(i) and phi(i) and are built once per generator; that is
+    ``multiply_flat`` at C speed.
 
     The closure's table is exactly the pair product table.  Only its
     generator columns are checked, for all states in one comparison:
@@ -126,8 +133,22 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
     """
     size = m.states.size
     gens = [sigma + phi for sigma, phi in zip(zip(*m.next), zip(*m.out))]
-    closure = close_generators(gens, partial(multiply_flat, size), cap)
-    nxt, out = np.split(np.array(closure.elements, dtype=np.intp).T, [size])
+    if size <= 256 and m.outputs.size <= 256:
+        gens = [bytes(g) for g in gens]
+        # s's bytes are states, below size: the padding is never read
+        tables = {g: (g[:size].ljust(256, b"\0"), g[size:].ljust(256, b"\0")) for g in gens}
+
+        def multiply(e: bytes, g: bytes) -> bytes:
+            sigma, phi = tables[g]
+            s = e[:size]
+            return s.translate(sigma) + s.translate(phi)
+
+        closure = close_generators(gens, multiply, cap)
+        columns = np.frombuffer(b"".join(closure.elements), np.uint8).reshape(-1, 2 * size)
+    else:
+        closure = close_generators(gens, partial(multiply_flat, size), cap)
+        columns = np.array(closure.elements, dtype=np.intp)
+    nxt, out = np.split(columns.T, [size])
     cols = list(closure.table.generators)
     product = closure.table.array[:, cols]
     wrong = ((nxt[:, product] != nxt[:, cols][nxt])

@@ -521,6 +521,19 @@ class TestSpanningTree:
     def test_greedy_generators_of_any_table(self, table):
         assert core._greedy_generators(np.array(table)) == greedy_generators_oracle(table)
 
+    @settings(max_examples=30)
+    @given(table=tables(5))
+    def test_greedy_generators_of_padded_tables(self, table):
+        # the table padded to order 300 with left zeros z, where x z == x:
+        # only z itself reaches z, so each z joins the generators
+        n, order = len(table), 300
+        padded = np.empty((order, order), dtype=np.intp)
+        padded[:n, :n] = table
+        padded[:n, n:] = np.arange(n)[:, None]
+        padded[n:] = np.arange(n, order)[:, None]
+        assert core._greedy_generators(padded) == (greedy_generators_oracle(table)
+                                                   + tuple(range(n, order)))
+
 
 class TestLightAgainstOracle:
     """SemigroupTable's generator-based check against the O(n^3) scan."""

@@ -13,6 +13,7 @@ from autalg import (
     Word,
     act_word,
     check_first_axioms,
+    close_generators,
     evaluate_word,
     semigroupify,
     to_universal,
@@ -97,6 +98,22 @@ class TestToUniversal:
                     assert pair.phi(a) == m.out[a][x]
 
 
+def _close_under(monkeypatch, encoding, product=None):
+    """Check that ``semigroupify`` encodes its generators as ``encoding``
+    (``bytes`` or ``tuple``); given ``product(a, e, g)``, written on flat
+    int lists, close under it in place of ``semigroupify``'s own."""
+    import autalg.first_type as first_type
+
+    def closing(gens, multiply, cap):
+        assert {type(g) for g in gens} == {encoding}
+        if product is not None:
+            a = len(gens[0]) // 2
+            multiply = lambda e, g: encoding(product(a, list(e), list(g)))
+        return close_generators(gens, multiply, cap)
+
+    monkeypatch.setattr(first_type, "close_generators", closing)
+
+
 class TestSemigroupify:
     def test_swap_input_gives_order_two(self):
         assert semigroupify(SWAP).gamma.order == 2
@@ -134,30 +151,44 @@ class TestSemigroupify:
     def test_table_is_checked_against_the_pair_product(self, monkeypatch):
         # (s1, p1)(s2, p2) = (s1 s2, p2) is associative, so the closure
         # accepts its table, but it is not the pair product
-        import autalg.first_type as first_type
-
         def wrong_product(a, e, g):
-            return tuple([g[i] for i in e[:a]]) + g[a:]
+            return [g[i] for i in e[:a]] + g[a:]
 
-        monkeypatch.setattr(first_type, "multiply_flat", wrong_product)
+        _close_under(monkeypatch, bytes, wrong_product)
         with pytest.raises(VerificationError, match="pair product"):
             semigroupify(SWAP)
 
     def test_lowest_failing_state_is_named(self, monkeypatch):
         # the pair product, but with the outputs of states 2 and 3 read off
         # the right factor alone: associative while sigma keeps {0, 1}, and
-        # wrong from state 2 on
-        import autalg.first_type as first_type
-
+        # wrong from state 2 on; 257 outputs take the tuple encoding
         def wrong_from_state_2(a, e, g):
-            return multiply_flat(a, e, g)[:a + 2] + g[a + 2:]
+            return [*multiply_flat(a, e, g)[:a + 2], *g[a + 2:]]
 
-        m = PureAutomatonFirst(FiniteSet(4), FiniteSet(1), FiniteSet(2),
-                               next=((1,), (0,), (0,), (0,)), out=((0,), (1,), (1,), (1,)))
-        monkeypatch.setattr(first_type, "multiply_flat", wrong_from_state_2)
-        with pytest.raises(VerificationError) as info:
-            semigroupify(m)
-        assert str(info.value) == "closure table differs from the pair product at state 2"
+        for outputs, encoding in [(2, bytes), (257, tuple)]:
+            m = PureAutomatonFirst(FiniteSet(4), FiniteSet(1), FiniteSet(outputs),
+                                   next=((1,), (0,), (0,), (0,)),
+                                   out=((0,), (1,), (1,), (1,)))
+            _close_under(monkeypatch, encoding, wrong_from_state_2)
+            with pytest.raises(VerificationError) as info:
+                semigroupify(m)
+            assert str(info.value) == "closure table differs from the pair product at state 2"
+
+    @pytest.mark.parametrize("states, outputs, encoding", [
+        (256, 256, bytes), (257, 256, tuple), (2, 257, tuple)])
+    def test_encoding_switches_past_one_byte(self, monkeypatch, states, outputs, encoding):
+        # a cyclic permutation of the states, outputs counting down from
+        # the largest: closure order is the cycle's length
+        cycle = PureAutomatonFirst(
+            FiniteSet(states), FiniteSet(1), FiniteSet(outputs),
+            next=tuple(((a + 1) % states,) for a in range(states)),
+            out=tuple(((outputs - 1 - a) % outputs,) for a in range(states)))
+        _close_under(monkeypatch, encoding)
+        got, want = semigroupify(cycle), semigroupify_oracle(cycle)
+        assert got.gamma.order == states
+        assert got.gamma == want.gamma
+        assert (got.next, got.out) == (want.next, want.out)
+        assert dumps(got) == dumps(want)
 
     @settings(max_examples=60)
     @given(st.data())
