@@ -28,8 +28,11 @@ from .core import (
     FiniteSet,
     SemigroupTable,
     _check_cells,
-    _greedy_generators,
+    _ByValue,
+    _frozen,
     _index_dtype,
+    _int_rows,
+    _table_array,
     _trusted,
     as_table,
     check_laws,
@@ -44,15 +47,30 @@ def product_set(s1: FiniteSet, s2: FiniteSet) -> FiniteSet:
     return FiniteSet(s1.size * s2.size, labels)
 
 
-def _set_triple_tables(t, columns: int, unit: str) -> None:
-    """Store a triple's alpha and beta as tuples, each ``columns`` wide."""
-    object.__setattr__(t, "alpha", tuple(tuple(r) for r in t.alpha))
-    object.__setattr__(t, "beta", tuple(t.beta))
+def _check_widths(t, columns: int, unit: str) -> None:
+    """Raise unless a triple's beta and each row of its alpha are
+    ``columns`` wide."""
     if len(t.beta) != columns:
         raise ValueError(f"beta has {len(t.beta)} entries for {unit}")
     for i, row in enumerate(t.alpha):
         if len(row) != columns:
             raise ValueError(f"alpha[{i}] has {len(row)} entries for {unit}")
+
+
+def _row(beta):
+    """A triple's beta as a table of one row."""
+    return beta[None] if isinstance(beta, np.ndarray) else (beta,)
+
+
+def _triple_table(table):
+    """A semigroup triple's table of non-negative ints as a read-only
+    narrow array (``core._frozen``), or any other table as tuples, to be
+    refused, naming the entry, once the components are known
+    (``_check_semigroup_fit``)."""
+    array = _int_rows(table)
+    if array is None or not array.size or array.min() < 0:
+        return tuple(map(tuple, table if array is None else array.tolist()))
+    return _frozen(array)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +82,9 @@ class CascadeTriplePure:
     beta: tuple[int, ...]               # [x]     -> input of the second automaton
 
     def __post_init__(self) -> None:
-        _set_triple_tables(self, self.inputs.size, f"{self.inputs.size} inputs")
+        object.__setattr__(self, "alpha", tuple(tuple(r) for r in self.alpha))
+        object.__setattr__(self, "beta", tuple(self.beta))
+        _check_widths(self, self.inputs.size, f"{self.inputs.size} inputs")
 
 
 def check_pure_triple(t: CascadeTriplePure, m1: PureAutomatonFirst,
@@ -82,14 +102,14 @@ def _cascade_tables(m1, m2, t) -> tuple:
 
         next[(a1, a2)][x] == N1[a1, alpha[a2, x]] * |A2| + N2[a2, beta[x]],
 
-    and out likewise with |B2|, in ``np.intp``."""
+    and out likewise with |B2|, as writable ``np.intp`` arrays."""
     alpha, beta = np.array(t.alpha, dtype=np.intp), np.array(t.beta, dtype=np.intp)
     rows2 = np.arange(m2.states.size)[:, None]
 
-    def table(first, second, base: int) -> tuple[tuple[int, ...], ...]:
+    def table(first, second, base: int) -> np.ndarray:
         first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
         cells = first[:, alpha] * base + second[rows2, beta]  # [a1, a2, x]
-        return tuple(map(tuple, cells.reshape(-1, len(beta)).tolist()))
+        return cells.reshape(-1, len(beta))
 
     return (product_set(m1.states, m2.states), product_set(m1.outputs, m2.outputs),
             table(m1.next, m2.next, m2.states.size), table(m1.out, m2.out, m2.outputs.size))
@@ -103,6 +123,7 @@ def cascade_pure(m1: PureAutomatonFirst, m2: PureAutomatonFirst,
     not re-checked."""
     check_pure_triple(t, m1, m2)
     states, outputs, nxt, out = _cascade_tables(m1, m2, t)
+    nxt, out = (tuple(map(tuple, table.tolist())) for table in (nxt, out))
     return _trusted(PureAutomatonFirst, states, t.inputs, outputs, nxt, out)
 
 
@@ -134,36 +155,42 @@ def _commutes_with_mu(t, t2, mu: Sequence[int]) -> CheckReport:
     entry of ``mu`` is one of t2's columns."""
     for x, mx in enumerate(mu):
         if t.beta[x] != t2.beta[mx]:
-            return CheckReport.failed("beta == beta' . mu", (x,), t.beta[x], t2.beta[mx])
+            return CheckReport.failed("beta == beta' . mu", (x,), int(t.beta[x]), int(t2.beta[mx]))
         for a2 in range(len(t.alpha)):
             if t.alpha[a2][x] != t2.alpha[a2][mx]:
                 return CheckReport.failed("alpha == alpha' . mu", (a2, x),
-                                          t.alpha[a2][x], t2.alpha[a2][mx])
+                                          int(t.alpha[a2][x]), int(t2.alpha[a2][mx]))
     return CheckReport.passed()
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeTripleSemigroup:
+@dataclass(frozen=True, slots=True, eq=False)
+class CascadeTripleSemigroup(_ByValue):
     """The datum (Gamma, alpha, beta) steering a semigroup cascade.
 
-    Validity against the component automata (beta a homomorphism, alpha
-    crossed) is checked by ``check_semigroup_triple``.
+    Construction checks the widths; validity against the component
+    automata (alpha and beta in range, beta a homomorphism, alpha
+    crossed) is checked by ``check_semigroup_triple``.  Tables of
+    non-negative ints are stored as read-only narrow arrays, as the
+    automata's are; any other table stays tuples, for that check to name
+    its first bad entry.  Triples compare and hash by value.
     """
 
     gamma: SemigroupTable
-    alpha: tuple[tuple[int, ...], ...]  # [a2][g] -> element of Gamma1
-    beta: tuple[int, ...]               # [g]     -> element of Gamma2
+    alpha: np.ndarray  # [a2][g] -> element of Gamma1
+    beta: np.ndarray   # [g]     -> element of Gamma2
 
     def __post_init__(self) -> None:
-        _set_triple_tables(self, self.gamma.order, f"order {self.gamma.order}")
+        _check_widths(self, self.gamma.order, f"order {self.gamma.order}")
+        object.__setattr__(self, "alpha", _triple_table(self.alpha))
+        object.__setattr__(self, "beta", _triple_table(_row(self.beta))[0])
 
 
 def _check_homomorphism(gamma: SemigroupTable, image: Sequence[int],
                         target: SemigroupTable, name: str) -> CheckReport:
     """image[g1 g2] == image[g1] image[g2] for all g1, g2, as a law over
     one state that every element fixes; the witness is (g1, g2)."""
-    report = check_laws(gamma, np.zeros((1, gamma.order), dtype=np.intp),
-                        [(name, (image,), target)])
+    report = check_laws(gamma, np.zeros((1, gamma.order), dtype=np.uint8),
+                        [(name, np.asarray(image)[None], target)])
     if report.ok:
         return report
     return CheckReport.failed(report.law, report.witness[1:], report.lhs, report.rhs)
@@ -172,8 +199,8 @@ def _check_homomorphism(gamma: SemigroupTable, image: Sequence[int],
 def _check_semigroup_fit(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
                          m2: SemigroupAutomatonFirst) -> None:
     """Raise if the triple's tables do not index the components' columns."""
-    as_table("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
-    as_table("beta", (t.beta,), 1, t.gamma.order, m2.gamma.order)
+    _table_array("alpha", t.alpha, m2.states.size, t.gamma.order, m1.gamma.order)
+    _table_array("beta", _row(t.beta), 1, t.gamma.order, m2.gamma.order)
 
 
 def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
@@ -192,7 +219,7 @@ def check_semigroup_triple(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirs
     report = _check_homomorphism(t.gamma, t.beta, m2.gamma, "beta homomorphism")
     if not report.ok:
         return report
-    carrier = np.asarray(m2.next, dtype=np.intp)[:, t.beta]
+    carrier = m2.next[:, t.beta]
     return check_laws(t.gamma, carrier, [
         ("crossed law alpha(a2, g1 g2) == alpha(a2, g1) alpha(a2.beta(g1), g2)",
          t.alpha, m1.gamma)])
@@ -222,7 +249,7 @@ def cascade_semigroup(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
     not re-checked."""
     _check_semigroup_fit(t, m1, m2)
     states, outputs, nxt, out = _cascade_tables(m1, m2, t)
-    return _trusted(SemigroupAutomatonFirst, states, t.gamma, outputs, nxt, out)
+    return _trusted(SemigroupAutomatonFirst, states, t.gamma, outputs, _frozen(nxt), _frozen(out))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +261,8 @@ class WreathElement:
     g2: int
 
 
-@dataclass(frozen=True, slots=True)
-class WreathProduct:
+@dataclass(frozen=True, slots=True, eq=False)
+class WreathProduct(_ByValue):
     """The full function-space wreath product of two semigroups relative
     to an action of the second on a finite set.
 
@@ -245,7 +272,7 @@ class WreathProduct:
 
     g1: SemigroupTable
     a2: FiniteSet
-    action: tuple[tuple[int, ...], ...]  # [a2][g2] -> a2
+    action: np.ndarray  # [a2][g2] -> a2
     g2: SemigroupTable
     table: SemigroupTable
     elements: tuple[WreathElement, ...]
@@ -264,10 +291,11 @@ def _rank(bar: Sequence[int], g2: int, n1: int, n2: int) -> int:
 
 
 def _wreath_order(g1: SemigroupTable, a2: FiniteSet, action, g2: SemigroupTable,
-                  cap: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The action as a table and the wreath product's order, once the
-    action is checked to be one and the order to be within ``cap``."""
-    action = as_table("action", action, a2.size, g2.order, a2.size)
+                  cap: int) -> tuple[np.ndarray, int]:
+    """The action as a read-only narrow array and the wreath product's
+    order, once the action is checked to be one and the order to be
+    within ``cap``."""
+    action = _table_array("action", action, a2.size, g2.order, a2.size)
     report = check_laws(g2, action, [("action", action, None)])
     if not report.ok:
         a, s, s2 = report.witness
@@ -294,9 +322,11 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
     ((f, s)(f', s'))(f'', s'') and (f, s)((f', s')(f'', s'')) are
     (a |-> f(a) f'(a . s) f''((a . s) . s'), s s' s''), by associativity
     of g1 and g2 and a . (s s') == (a . s) . s'.  So the table is built
-    without ``SemigroupTable``'s checks; its ``generating_set`` is the
-    greedy one the constructor would choose.  Raises CapExceeded, before
-    anything is built, past ``cap`` elements or ``CELL_BUDGET`` cells.
+    without ``SemigroupTable``'s checks.  Its ``generating_set``, the
+    greedy one the constructor would choose, is left to be computed on
+    first read: ``construct wreath`` never reads it.  Raises CapExceeded,
+    before anything is built, past ``cap`` elements or ``CELL_BUDGET``
+    cells.
     """
     action, order = _wreath_order(g1, a2, action, g2, cap)
     _check_cells("wreath product", order)
@@ -316,16 +346,21 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
         product[:, s] = ranks[:, :, None] + p2[s]
     product = product.reshape(order, order)
     product.flags.writeable = False
-    table = _trusted(SemigroupTable, order, None, None, product, _greedy_generators(product))
+    table = _trusted(SemigroupTable, order, None, None, product, None)
     return WreathProduct(g1, a2, action, g2, table, elements)
 
 
 def wreath_triple(w: WreathProduct) -> CascadeTripleSemigroup:
     """The wreath product's own steering triple: alpha evaluates the
-    function part at a2 and beta projects to the second factor."""
-    alpha = tuple(tuple(e.bar[a] for e in w.elements) for a in range(w.a2.size))
-    beta = tuple(e.g2 for e in w.elements)
-    return CascadeTripleSemigroup(w.table, alpha, beta)
+    function part at a2 and beta projects to the second factor.  Element
+    i is the i-th index tuple (bar(0), .., bar(|A2| - 1), g2) in
+    lexicographic order (``WreathProduct.index``), so alpha is the first
+    |A2| rows of ``np.indices`` over those coordinates, flattened, and
+    beta its last row.  Its entries index g1 and g2 by construction."""
+    shape = (w.g1.order,) * w.a2.size + (w.g2.order,)
+    coordinates = np.indices(shape, dtype=_index_dtype(max(shape))).reshape(len(shape), -1)
+    return _trusted(CascadeTripleSemigroup, w.table, _frozen(coordinates[:-1]),
+                    _frozen(coordinates[-1]))
 
 
 def wreath_automaton(m1: SemigroupAutomatonFirst, m2: SemigroupAutomatonFirst,
@@ -363,4 +398,4 @@ def embed_into_wreath(t: CascadeTripleSemigroup, m1: SemigroupAutomatonFirst,
         return report
     _wreath_order(m1.gamma, m2.states, m2.next, m2.gamma, cap)
     n1, n2 = m1.gamma.order, m2.gamma.order
-    return tuple(_rank(bar, g2, n1, n2) for bar, g2 in zip(zip(*t.alpha), t.beta))
+    return tuple(_rank(bar, g2, n1, n2) for bar, g2 in zip(t.alpha.T.tolist(), t.beta.tolist()))

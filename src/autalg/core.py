@@ -69,8 +69,42 @@ def _byte_rows(rows) -> np.ndarray | None:
         data = bytearray(itertools.chain.from_iterable(rows))
     except (TypeError, ValueError):
         return None
-    array = np.frombuffer(data, np.uint8).reshape(len(rows), -1)
-    array.flags.writeable = False
+    array = np.frombuffer(data, np.uint8)
+    array.flags.writeable = False  # before the reshape, so no array over data is writable
+    return array.reshape(len(rows), -1)
+
+
+def _int_rows(rows) -> np.ndarray | None:
+    """``rows`` as one 2-D integer array, or None: an integer array as
+    it is, and list or tuple rows of plain ints (bools refused) by one
+    type test over the cells, then ``_byte_rows``, else ``np.array``.
+    Ragged rows, and ints that fit no machine integer, give None."""
+    if (isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {list, tuple}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        array = _byte_rows(rows)
+        try:
+            rows = np.array(rows) if array is None else array
+        except ValueError:  # ragged rows
+            return None
+    integer = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
+    return rows if integer else None
+
+
+def _frozen(array: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
+    """A table of non-negative indices as a read-only, C-contiguous array
+    of ``dtype``, by default the narrowest unsigned dtype that holds its
+    largest entry, so equal tables hold equal bytes.  ``array`` itself
+    where it is one already and no array it views is writable, else a
+    copy: a read-only view of a caller's writable array would change
+    with it."""
+    if dtype is None:
+        dtype = _index_dtype(int(array.max()) + 1)
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray) or array.dtype != dtype or not array.flags.c_contiguous:
+        array = array.astype(dtype, order="C")
+        array.flags.writeable = False
     return array
 
 
@@ -112,6 +146,45 @@ def as_table(name: str, table: Sequence[Sequence[int]], rows: int, cols: int,
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
                 raise ValueError(f"{name}[{i}][{j}] = {v!r} out of range 0..{bound - 1}")
     return norm
+
+
+def _table_array(name: str, table, rows: int, cols: int, bound: int,
+                 dtype: np.dtype | None = None) -> np.ndarray:
+    """A rows x cols table of indices below ``bound`` as a read-only array
+    (``_frozen``; ``dtype``, if given).  An integer array, or rows that
+    ``_int_rows`` reads as one, is checked by its shape and extremes.  Any
+    other table, and one that fails, is checked by ``as_table``, which
+    names the first bad row or entry: an integer array is handed to it as
+    lists, so the message shows Python ints."""
+    array = _int_rows(table)
+    if (array is not None and array.shape == (rows, cols)
+            and (array.dtype.kind == "u" or array.min() >= 0) and array.max() < bound):
+        return _frozen(array, dtype)
+    norm = as_table(name, table if array is None else array.tolist(), rows, cols, bound)
+    return _frozen(np.array(norm), dtype)  # rows of another sequence type
+
+
+class _ByValue:
+    """Base of the frozen dataclasses that hold table arrays: they compare
+    and hash by the values of their fields, each array by its dtype,
+    shape and bytes, leaving out fields declared ``compare=False``.  A
+    table is stored in one dtype for its values (a product in its
+    order's, any other in that of its largest entry), so equal tables
+    give equal keys."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if type(v) is np.ndarray else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,22 +490,6 @@ def _light_witness(product: np.ndarray,
     return None
 
 
-def _square_table(product, n: int) -> np.ndarray:
-    """``product`` as a read-only n x n array of ``_index_dtype(n)``, a
-    copy.  An integer array of that shape is range-checked on the array,
-    before the cast, which would wrap; anything else is checked by
-    ``as_table``.  A table that fails gets ``as_table``'s message."""
-    if (isinstance(product, np.ndarray) and product.shape == (n, n)
-            and np.issubdtype(product.dtype, np.integer)):
-        if product.min() < 0 or product.max() >= n:
-            as_table("product", product.tolist(), n, n, n)  # raises, naming the entry
-        array = product.astype(_index_dtype(n))
-    else:
-        array = np.array(as_table("product", product, n, n, n), dtype=_index_dtype(n))
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True, slots=True)
 class PureAutomaton:
     """States x inputs -> states/outputs, with no structure on outputs:
@@ -477,8 +534,8 @@ def _names_error(array: np.ndarray, gens: tuple[int, ...],
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class SemigroupTable:
+@dataclass(frozen=True, slots=True, eq=False)
+class SemigroupTable(_ByValue):
     """A finite semigroup as a total multiplication table.
 
     ``generators``, when present, lists the element index of each
@@ -501,21 +558,27 @@ class SemigroupTable:
     integer ndarray, and is stored once, as ``array``: a read-only n x n
     array of the narrowest unsigned dtype for the order (``_index_dtype``:
     uint8 up to order 256, uint16 up to 65,536), so equal tables hold
-    equal bytes.  Index arithmetic on it belongs in ``np.intp``: a narrow
-    array times a Python int stays narrow and wraps.  Reading ``product``
-    builds nested tuples of Python ints from ``array`` on each access.
-    Tables compare and hash by value over order, table, generators and
-    names.  Construction also keeps ``generating_set``, the distinct
-    generators Light's test used.
+    equal bytes.  An integer array is range-checked by its shape and
+    extremes before the cast, which would wrap (``_table_array``).  Index
+    arithmetic on it belongs in ``np.intp``: a narrow array times a Python
+    int stays narrow and wraps.  Reading ``product`` builds nested tuples
+    of Python ints from ``array`` on each access.  Tables compare and hash
+    by value over order, table, generators and names (``_ByValue``).
+    Construction also keeps ``generating_set``, the distinct generators
+    Light's test used, which ``==`` and ``hash`` leave out.
 
     The constructor validates input from outside, and everything that
-    ``schema`` loads goes through it.  Tables and automata the package
-    builds are valid by a proof in the building function's docstring and
-    skip validation (``_trusted``), holding the same slots the constructor
-    would store:
+    ``schema`` loads goes through it.  Tables, automata and triples the
+    package builds are valid by a proof in the building function's
+    docstring and skip validation (``_trusted``), holding the same slots
+    the constructor would store, their tables as the read-only arrays it
+    would store (``_frozen``):
 
     * ``close_generators``: the closure of an associative product;
-    * ``cascade.wreath_product``: the wreath formula;
+    * ``cascade.wreath_product``: the wreath formula; its
+      ``generating_set`` slot holds None until the first read of the
+      attribute chooses the greedy one (``_generating_set``);
+    * ``cascade.wreath_triple``: the coordinates of the wreath elements;
     * ``first_type.semigroupify``: its generator-column check;
     * ``second_type.quotient_construct``: the behaviors along mu's tree;
     * ``cascade.cascade_pure`` and ``cascade.cascade_semigroup``: the
@@ -529,13 +592,14 @@ class SemigroupTable:
     generators: tuple[int, ...] | None = None
     names: tuple[tuple[int, ...], ...] | None = None
     array: np.ndarray = field(init=False, repr=False)
-    generating_set: tuple[int, ...] = field(init=False, repr=False)
+    generating_set: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, product) -> None:
         n = self.order
         if n < 1:
             raise ValueError("order must be >= 1")
-        array = _square_table(product, n)
+        # range-checked before the cast to the order's dtype, which would wrap
+        array = _table_array("product", product, n, n, n, _index_dtype(n))
         object.__setattr__(self, "array", array)
         if self.generators is not None:
             gens = tuple(self.generators)
@@ -563,20 +627,27 @@ class SemigroupTable:
         if names_error:
             raise ValueError(names_error)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.order, self.generators, self.names)
-                == (other.order, other.generators, other.names)
-                and np.array_equal(self.array, other.array))
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.array.tobytes(), self.generators, self.names))
-
 
 # set after the class: a class attribute named like the InitVar would be its default
 SemigroupTable.product = property(lambda self: tuple(map(tuple, self.array.tolist())),
                                   doc="The table as nested tuples of Python ints.")
+# the slot, under the property that reads it
+_GENERATING_SET = SemigroupTable.generating_set
+
+
+def _generating_set(table: SemigroupTable) -> tuple[int, ...]:
+    """The generating set in the slot, or, where the building function
+    left it None (``cascade.wreath_product``), the greedy one the
+    constructor would choose, computed on first read and kept.  Two
+    readers that race compute the same tuple."""
+    gens = _GENERATING_SET.__get__(table)
+    if gens is None:
+        gens = _greedy_generators(table.array)
+        _GENERATING_SET.__set__(table, gens)
+    return gens
+
+
+SemigroupTable.generating_set = property(_generating_set, _GENERATING_SET.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -727,21 +798,10 @@ class CheckReport:
                 f"lhs = {self.lhs!r}, rhs = {self.rhs!r}")
 
 
-Law = tuple[str, Sequence[Sequence[int]], "SemigroupTable | None"]
+Law = tuple[str, np.ndarray, "SemigroupTable | None"]
 
 
-def _narrow(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """A table of non-negative indices as an array of the narrowest
-    unsigned dtype that holds its largest entry: ``_byte_rows`` where it
-    applies."""
-    array = _byte_rows(table)
-    if array is None:
-        array = np.asarray(table)
-        array = array.astype(_index_dtype(int(array.max()) + 1))
-    return array
-
-
-def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
+def check_laws(gamma: SemigroupTable, carrier: np.ndarray,
                laws: Sequence[Law]) -> CheckReport:
     """Verify laws of the form
 
@@ -783,14 +843,13 @@ def check_laws(gamma: SemigroupTable, carrier: Sequence[Sequence[int]],
     action, each state row is scanned over all (g1, g2), in order, until
     the first violation.
 
-    Every table is read as a narrow array (``_narrow``), gathered by
+    The carrier and every ``out`` are integer arrays, read as given: the
+    automata and triples hold their tables as narrow arrays, gathered by
     ``take``, which reads narrow indices several times faster than
     ``[]`` does.
     """
-    prod = gamma.array
-    nxt = _narrow(carrier)
-    tables = [(name, nxt if out is carrier else _narrow(out),
-               None if combine is None else combine.array)
+    prod, nxt = gamma.array, carrier
+    tables = [(name, out, None if combine is None else combine.array)
               for name, out, combine in laws]
     gens = np.array(gamma.generating_set, dtype=np.intp)
     cols = prod[:, gens]  # cols[g1, k] == g1 g_k

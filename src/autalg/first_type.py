@@ -30,8 +30,10 @@ from .core import (
     Transformation,
     VerificationError,
     Word,
+    _ByValue,
+    _frozen,
+    _table_array,
     _trusted,
-    as_table,
     check_laws,
     close_generators,
     multiply_pair,  # noqa: F401  re-exported: the bench tracer wraps it here
@@ -44,25 +46,29 @@ class PureAutomatonFirst(PureAutomaton):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SemigroupAutomatonFirst:
+@dataclass(frozen=True, slots=True, eq=False)
+class SemigroupAutomatonFirst(_ByValue):
     """An automaton acted on by a semigroup, with final-output semantics.
 
-    Construction validates shapes only; run ``check_first_axioms`` to
-    verify the action laws (constructors in this package guarantee them,
-    hand-built tables may not).
+    Construction validates shapes and ranges only; run
+    ``check_first_axioms`` to verify the action laws (constructors in this
+    package guarantee them, hand-built tables may not).  ``next`` and
+    ``out`` are given as nested sequences of ints or as integer arrays and
+    stored as read-only |A| x |Gamma| arrays in the narrowest unsigned
+    dtype of their largest entry (``core._table_array``); automata compare
+    and hash by value.
     """
 
     states: FiniteSet
     gamma: SemigroupTable
     outputs: FiniteSet
-    next: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
+    next: np.ndarray
+    out: np.ndarray
 
     def __post_init__(self) -> None:
         a, g = self.states.size, self.gamma.order
-        object.__setattr__(self, "next", as_table("next", self.next, a, g, a))
-        object.__setattr__(self, "out", as_table("out", self.out, a, g, self.outputs.size))
+        object.__setattr__(self, "next", _table_array("next", self.next, a, g, a))
+        object.__setattr__(self, "out", _table_array("out", self.out, a, g, self.outputs.size))
 
 
 def check_first_axioms(m: SemigroupAutomatonFirst) -> CheckReport:
@@ -157,7 +163,7 @@ def semigroupify(m: PureAutomatonFirst, cap: int = DEFAULT_CAP) -> SemigroupAuto
         raise VerificationError(
             f"closure table differs from the pair product at state {wrong.argmax()}")
     return _trusted(SemigroupAutomatonFirst, m.states, closure.table, m.outputs,
-                    tuple(map(tuple, nxt.tolist())), tuple(map(tuple, out.tolist())))
+                    _frozen(nxt), _frozen(out))
 
 
 class Run(NamedTuple):
@@ -187,4 +193,4 @@ def act_word(m: PureAutomatonFirst | SemigroupAutomatonFirst, a: int, w: Word) -
     for letter in letters[:-1]:
         a = m.next[a][letter]
     last = letters[-1]
-    return Run(m.next[a][last], m.out[a][last])
+    return Run(int(m.next[a][last]), int(m.out[a][last]))

@@ -41,8 +41,11 @@ verdict or another message:
   ``str(x)`` and 10**30 would become "1e+30".  An error from an object's
   own constructor is final: a float reaches one only as a label.
 * orjson 3.8 recurses on the C stack with no limit, so a file with over
-  ``_ORJSON_BRACKETS`` opening brackets (a table of order above ~5,000),
-  counted on its bytes, goes to json.  Below that, nesting past json's
+  ``_ORJSON_BRACKETS`` opening brackets (a table of order above ~5,000)
+  goes to json.  ``_brackets`` counts them on the bytes, ``_BLOCK`` (64
+  KiB) at a time so that its temporaries stay in cache, with one
+  comparison a byte: ``[`` and ``{`` are the two bytes that OR 0x20 maps
+  to 0x7b.  Below that, nesting past json's
   recursion limit (~995 levels from the command line) in a key the
   loader ignores loads where the installed orjson reads it, as 3.8 does;
   where orjson refuses it, json's verdict, which hung on the caller's
@@ -51,9 +54,25 @@ verdict or another message:
 The reader turns a ``product`` into one array: ``core._byte_rows`` reads
 entries in 0..255 by ``bytearray``, ``np.array`` any others.  Both refuse
 floats, ``None``, strings and ragged rows and take a bool for 0 or 1, so
-the cells that are at most 1 are type-tested.  Any other table gets the
-plain checks and their messages.  ``SemigroupTable`` range-checks the
-array and stores it in its order's narrow dtype.
+the cells that are at most 1 are type-tested.  ``SemigroupTable``
+range-checks the array and stores it in its order's narrow dtype.
+
+The tables of the semigroup automata (``next``, ``out``), of a serial
+connection (``alpha``) and of a semigroup cascade triple (``alpha``; its
+``beta`` is read as a list) load as arrays too, in one pass
+(``core._int_rows``): one type test over the cells,
+``set(map(type, chain.from_iterable(rows))) <= {int}``, then
+``_byte_rows``, else ``np.array``.  Their entries are mostly 0 or 1 where
+the states are few, so the type test reads every cell.  The object's
+constructor checks the array by its shape and extremes and stores it
+read-only in the narrowest unsigned dtype of its largest entry; pure
+automata, letter machines, pure triples and names stay tuples.  ``dumps``
+writes each array as it writes a product.
+
+Any table that is not read as an array, and any array that fails its
+constructor's check, gets the plain checks (``_int_table``, then
+``core.as_table``) and their messages, the same as when tables were kept
+as tuples.
 """
 
 from __future__ import annotations
@@ -68,7 +87,7 @@ from typing import Callable
 import numpy as np
 import orjson
 
-from .core import FiniteSet, SemigroupTable, _byte_rows
+from .core import FiniteSet, SemigroupTable, _byte_rows, _int_rows
 
 
 class SchemaError(ValueError):
@@ -122,6 +141,16 @@ def _int_array(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
     return _int_table(value, where)
 
 
+def _index_table(value, where: str) -> np.ndarray | tuple[tuple[int, ...], ...]:
+    """An automaton's or a triple's list of list rows of plain ints as one
+    integer array (``core._int_rows``), not range-checked: the object's
+    constructor checks it by its shape and extremes.  Any other table
+    gets ``_int_table``'s checks and messages."""
+    _expect(isinstance(value, list), where, "expected a list of rows")
+    array = _int_rows(value) if set(map(type, value)) <= {list} else None
+    return _int_table(value, where) if array is None else array
+
+
 def _int_list(value, where: str) -> tuple[int, ...]:
     _expect(isinstance(value, list), where, "expected a list")
     if not set(map(type, value)) <= {int}:  # JSON integers; anything else is judged by _int
@@ -155,6 +184,12 @@ def load_finite_set(data, where: str) -> FiniteSet:
 
 def _rows(table) -> list:
     return [list(r) for r in table]
+
+
+def _array_or(dump: Callable) -> Callable:
+    """A field's dump that writes an array as it is, as a product is
+    written, and any other value by ``dump``."""
+    return lambda value: value if type(value) is np.ndarray else dump(value)
 
 
 def dump_semigroup_table(t: SemigroupTable) -> dict:
@@ -216,14 +251,15 @@ def dump_object(obj) -> dict:
 
 
 def _lists(data):
-    """``data`` with each array in it, a product, as a list of rows."""
+    """``data`` with each array in it, a product or an automaton's or a
+    triple's table, as lists."""
     if type(data) is dict:
         return {key: _lists(value) for key, value in data.items()}
     return data.tolist() if type(data) is np.ndarray else data
 
 
 def _dump(obj) -> dict:
-    """``dump_object``'s data, each product still an array."""
+    """``dump_object``'s data, each array still an array."""
     row = _BY_NAME.get(type(obj).__name__)
     if row is None or _class(row[1]) is not type(obj):
         raise TypeError(f"no schema for {type(obj).__name__}")
@@ -259,6 +295,7 @@ def _load_triple_inputs(data, key: str, where: str, loaded: dict) -> FiniteSet:
 _INT = _keyed(_int, int)
 _INT_LIST = _keyed(_int_list, list)
 _INT_TABLE = _keyed(_int_table, _rows)
+_ARRAY = _keyed(_index_table, _array_or(_rows))
 _FINITE_SET = _keyed(load_finite_set, dump_finite_set)
 _SEMIGROUP = _keyed(load_semigroup_table, dump_semigroup_table)
 _OBJECT = _keyed(load_object, _dump)
@@ -271,6 +308,7 @@ _MEALY_MACHINE = (
     lambda value, key: _dump(value))
 
 _TABLES = (("next", _INT_TABLE), ("out", _INT_TABLE))
+_ARRAYS = (("next", _ARRAY), ("out", _ARRAY))
 _PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_SET), *_TABLES)
 
 # (tag, class by exported name, key whose presence selects the class,
@@ -278,12 +316,12 @@ _PURE = (("states", _FINITE_SET), ("inputs", _FINITE_SET), ("outputs", _FINITE_S
 _TYPES = (
     ("first-pure", "PureAutomatonFirst", None, _PURE),
     ("first-semigroup", "SemigroupAutomatonFirst", None, (
-        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("outputs", _FINITE_SET), *_TABLES)),
+        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("outputs", _FINITE_SET), *_ARRAYS)),
     ("second-pure", "PureAutomatonSecond", None, _PURE),
     ("second-semigroup", "SemigroupAutomatonSecond", None, (
-        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("sigma", _SEMIGROUP), *_TABLES)),
+        ("states", _FINITE_SET), ("semigroup", _SEMIGROUP), ("sigma", _SEMIGROUP), *_ARRAYS)),
     ("cascade-triple", "CascadeTripleSemigroup", "gamma", (
-        ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("gamma", _SEMIGROUP))),
+        ("alpha", _ARRAY), ("beta", _keyed(_int_list, _array_or(list))), ("gamma", _SEMIGROUP))),
     ("cascade-triple", "CascadeTriplePure", None, (
         ("alpha", _INT_TABLE), ("beta", _INT_LIST), ("inputs", _TRIPLE_INPUTS))),
     # the machine is validated before the initial state is read
@@ -294,7 +332,7 @@ _TYPES = (
     # the components are type-checked only once both have loaded
     ("serial", "SerialConnection", None, (
         ("first", _OBJECT), ("second", _OBJECT), ("first", _MUST_BE_FIRST_SEMIGROUP),
-        ("second", _MUST_BE_FIRST_SEMIGROUP), ("alpha", _INT_TABLE))),
+        ("second", _MUST_BE_FIRST_SEMIGROUP), ("alpha", _ARRAY))),
 )
 _BY_TAG = {tag: [row for row in _TYPES if row[0] == tag] for tag, *_ in _TYPES}
 # class name -> row; the names are distinct, and ``_dump`` checks the class itself
@@ -305,6 +343,8 @@ _ATTRIBUTE = {"semigroup": "gamma"}
 
 # orjson 3.8 overflows the C stack at a few ten thousand nested objects
 _ORJSON_BRACKETS = 10_000
+# bytes the bracket guard compares at a time, so its temporary stays in cache
+_BLOCK = 1 << 16
 # DEL and whole UTF-8 sequences: every byte of a multi-byte one is >= 0x80
 _RAW = re.compile(rb"[\x7f-\xff]+")
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
@@ -360,16 +400,23 @@ def _odd_label(data) -> bool:
     return False
 
 
+def _brackets(raw: bytes) -> int:
+    """The opening brackets in ``raw``, counted ``_BLOCK`` bytes at a time
+    with one comparison a byte: ``[`` (0x5b) and ``{`` (0x7b) are the only
+    bytes that setting bit 0x20 makes 0x7b, and in UTF-8 they occur only
+    as the brackets themselves."""
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    return sum(np.count_nonzero((byte[lo:lo + _BLOCK] | 0x20) == ord("{"))
+               for lo in range(0, len(byte), _BLOCK))
+
+
 def _load_orjson(path: str | Path):
     """``load`` through orjson, or None where json may read the file
     differently (see the module docstring)."""
     try:
         raw = Path(path).read_bytes()
-        # in UTF-8 these two bytes occur only as the brackets themselves
-        byte = np.frombuffer(raw, dtype=np.uint8)
-        brackets = np.count_nonzero(byte == ord("[")) + np.count_nonzero(byte == ord("{"))
-        if brackets <= _ORJSON_BRACKETS:
-            del byte  # a view that would keep raw alive
+        # a file no longer than the budget cannot hold more brackets
+        if len(raw) <= _ORJSON_BRACKETS or _brackets(raw) <= _ORJSON_BRACKETS:
             data = orjson.loads(raw)
             del raw  # freed before validation, which allocates tables of its size
             if not _odd_label(data):

@@ -22,10 +22,12 @@ from .core import (
     Word,
     _fold_tree,
     _generated_tree,
+    _ByValue,
+    _frozen,
+    _table_array,
     _Tree,
     _tree_word,
     _trusted,
-    as_table,
     check_laws,
     evaluate_word,
 )
@@ -37,23 +39,25 @@ class PureAutomatonSecond(PureAutomaton):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SemigroupAutomatonSecond:
+@dataclass(frozen=True, slots=True, eq=False)
+class SemigroupAutomatonSecond(_ByValue):
     """Input semigroup gamma, output semigroup sigma, accumulation law.
 
-    Shapes are validated here; run ``check_second_axioms`` for the laws.
+    Shapes and ranges are validated here; run ``check_second_axioms`` for
+    the laws.  ``next`` and ``out`` are stored as read-only narrow arrays,
+    as in ``SemigroupAutomatonFirst``.
     """
 
     states: FiniteSet
     gamma: SemigroupTable
     sigma: SemigroupTable
-    next: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
+    next: np.ndarray
+    out: np.ndarray
 
     def __post_init__(self) -> None:
         a, g = self.states.size, self.gamma.order
-        object.__setattr__(self, "next", as_table("next", self.next, a, g, a))
-        object.__setattr__(self, "out", as_table("out", self.out, a, g, self.sigma.order))
+        object.__setattr__(self, "next", _table_array("next", self.next, a, g, a))
+        object.__setattr__(self, "out", _table_array("out", self.out, a, g, self.sigma.order))
 
 
 def check_second_axioms(m: SemigroupAutomatonSecond) -> CheckReport:
@@ -198,5 +202,5 @@ def quotient_construct(m: PureAutomatonSecond, mu: GeneratorHom, nu: GeneratorHo
         v = (_tree_word(tree, order[e - 1]) if e else ()) + (x,)
         return QuotientWitness(a, Word(_tree_word(tree, g), n), Word(v, n),
                                divmod(int(behavior[a, g]), width), divmod(int(via[a, e, x]), width))
-    next_table, out_table = (tuple(map(tuple, t.tolist())) for t in np.divmod(behavior, width))
+    next_table, out_table = map(_frozen, np.divmod(behavior, width))
     return _trusted(SemigroupAutomatonSecond, m.states, gamma, sigma, next_table, out_table)

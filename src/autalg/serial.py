@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (CheckReport, FiniteSet, NotInvertible, SemigroupTable, Word, _trusted, as_table,
-                   bfs_order, check_laws)
+import numpy as np
+
+from .core import (CheckReport, FiniteSet, NotInvertible, SemigroupTable, Word, _ByValue,
+                   _table_array, _trusted, bfs_order, check_laws)
 from .first_type import SemigroupAutomatonFirst
 from .second_type import PureAutomatonSecond, SemigroupAutomatonSecond, free_extension_out
 
@@ -27,8 +29,8 @@ def semiautomaton(states: FiniteSet, gamma: SemigroupTable,
     return SemigroupAutomatonFirst(states, gamma, FiniteSet(1), next_table, out)
 
 
-@dataclass(frozen=True, slots=True)
-class SerialConnection:
+@dataclass(frozen=True, slots=True, eq=False)
+class SerialConnection(_ByValue):
     """Two semiautomata joined by a table alpha: A x Gamma -> Sigma.
 
     The output semigroup Sigma is the second machine's input semigroup.
@@ -36,17 +38,18 @@ class SerialConnection:
 
         alpha(a, g1 g2) == alpha(a, g1) alpha(a . g1, g2)
 
-    is checked by ``check_serial``.
+    is checked by ``check_serial``.  ``alpha`` is stored as a read-only
+    narrow array, as the components' tables are.
     """
 
     first: SemigroupAutomatonFirst
     second: SemigroupAutomatonFirst
-    alpha: tuple[tuple[int, ...], ...]
+    alpha: np.ndarray
 
     def __post_init__(self) -> None:
         if self.first.outputs.size != 1 or self.second.outputs.size != 1:
             raise ValueError("serial components must be semiautomata (one-point outputs)")
-        object.__setattr__(self, "alpha", as_table(
+        object.__setattr__(self, "alpha", _table_array(
             "alpha", self.alpha, self.first.states.size, self.first.gamma.order,
             self.second.gamma.order))
 
@@ -84,7 +87,7 @@ def serial_action(s: SerialConnection, a: int, b: int, g: int) -> tuple[int, int
         raise ValueError(f"second state {b} out of range")
     if not 0 <= g < s.first.gamma.order:
         raise ValueError(f"element {g} out of range")
-    return s.first.next[a][g], s.second.next[b][s.alpha[a][g]]
+    return int(s.first.next[a, g]), int(s.second.next[b, s.alpha[a, g]])
 
 
 def derive_second_type(s: SerialConnection) -> SemigroupAutomatonSecond:
@@ -99,7 +102,7 @@ def serial_from_second(m: SemigroupAutomatonSecond) -> SerialConnection:
     """View an accumulating automaton as a serial connection, with Sigma
     acting on itself by right multiplication."""
     first = semiautomaton(m.states, m.gamma, m.next)
-    second = semiautomaton(FiniteSet(m.sigma.order), m.sigma, m.sigma.array.tolist())
+    second = semiautomaton(FiniteSet(m.sigma.order), m.sigma, m.sigma.array)
     return SerialConnection(first, second, m.out)
 
 

@@ -237,11 +237,12 @@ def embed_oracle(t, w) -> tuple[int, ...]:
     morphism onto the wreath triple.  Any failure raises
     VerificationError, as it does for an invalid triple."""
     n_a2 = w.a2.size
-    if len(t.alpha) != n_a2:
-        raise ValueError(f"alpha has {len(t.alpha)} state rows, wreath expects {n_a2}")
-    as_table("alpha", t.alpha, n_a2, t.gamma.order, w.g1.order)
-    as_table("beta", (t.beta,), 1, t.gamma.order, w.g2.order)
-    images = [WreathElement(tuple(t.alpha[a2][g] for a2 in range(n_a2)), t.beta[g])
+    alpha, beta = t.alpha.tolist(), t.beta.tolist()
+    if len(alpha) != n_a2:
+        raise ValueError(f"alpha has {len(alpha)} state rows, wreath expects {n_a2}")
+    as_table("alpha", alpha, n_a2, t.gamma.order, w.g1.order)
+    as_table("beta", (beta,), 1, t.gamma.order, w.g2.order)
+    images = [WreathElement(tuple(alpha[a2][g] for a2 in range(n_a2)), beta[g])
               for g in range(t.gamma.order)]
     phi = tuple(w.index(e) for e in images)
     if len(set(w.elements)) != len(w.elements):
@@ -741,22 +742,32 @@ def _types(value):
     return type(value)
 
 
-def assert_same_value(built, rebuilt) -> None:
-    """``built`` and ``rebuilt`` hold the same value in every slot, of the
-    same types down to each table entry (tuples of Python ints), tables as
-    read-only arrays of their order's ``_index_dtype``; they compare, hash
-    and dump alike."""
+def _assert_same_slots(built, rebuilt) -> None:
+    """Slot by slot, into nested tables, automata and carriers: tables
+    as read-only C-contiguous arrays, a product in its order's
+    ``_index_dtype``, any other table in that of its largest entry, and
+    everything else of the same types down to each tuple entry."""
     assert type(built) is type(rebuilt)
     for f in dataclasses.fields(built):
         a, b = getattr(built, f.name), getattr(rebuilt, f.name)
-        if isinstance(a, SemigroupTable):
-            assert_same_value(a, b)
+        if dataclasses.is_dataclass(a):
+            _assert_same_slots(a, b)
         elif isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype == _index_dtype(built.order), f.name
+            dtype = _index_dtype(built.order if isinstance(built, SemigroupTable)
+                                 else int(a.max()) + 1)
+            assert a.dtype == b.dtype == dtype, f.name
             assert not a.flags.writeable and not b.flags.writeable, f.name
+            assert a.flags.c_contiguous and b.flags.c_contiguous, f.name
             assert np.array_equal(a, b), f.name
         else:
             assert a == b and _types(a) == _types(b), f.name
+
+
+def assert_same_value(built, rebuilt) -> None:
+    """``built`` and ``rebuilt`` hold the same value in every slot
+    (``_assert_same_slots``), a table's lazily chosen ``generating_set``
+    too, and they compare, hash and dump alike."""
+    _assert_same_slots(built, rebuilt)
     assert built == rebuilt and hash(built) == hash(rebuilt)
     if isinstance(built, SemigroupTable):  # dumped as a one-state automaton's semigroup
         built, rebuilt = (semiautomaton(FiniteSet(1), t, ((0,) * t.order,))

@@ -336,8 +336,7 @@ def _sub_triple(w, wt, seeds) -> CascadeTripleSemigroup:
     elems = [closure.elements[i] for i in range(closure.table.order)]
     return CascadeTripleSemigroup(
         closure.table,
-        alpha=tuple(tuple(row[e] for e in elems) for row in wt.alpha),
-        beta=tuple(wt.beta[e] for e in elems))
+        alpha=wt.alpha[:, elems], beta=wt.beta[elems])
 
 
 class TestSemigroupCascade:

@@ -276,8 +276,9 @@ class TestIndexDtype:
 
 class TestByteRows:
     """``_byte_rows`` reads list or tuple rows of ints in 0..255 and refuses
-    anything else, ragged rows too; ``_narrow``, which uses it, gives what
-    ``np.asarray(...).astype`` gives."""
+    anything else, ragged rows too; ``_frozen`` narrows an array as
+    ``astype`` to its largest entry's dtype does, read-only and
+    C-contiguous."""
 
     def test_rows_become_a_read_only_byte_array(self):
         array = core._byte_rows([[0, 255], (True, 7)])
@@ -304,8 +305,10 @@ class TestByteRows:
     def test_narrow_matches_asarray(self, table):
         array = np.asarray(table)
         expected = array.astype(core._index_dtype(int(array.max()) + 1))
-        got = core._narrow(table)
+        got = core._frozen(array)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert not got.flags.writeable and got.flags.c_contiguous
+        assert array.flags.writeable  # the caller's array is copied, not frozen
 
 
 ENTRIES = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.none(),

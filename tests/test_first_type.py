@@ -46,7 +46,7 @@ class TestCheckFirstAxioms:
 
     def test_corrupted_next_entry_fails_with_witness(self):
         good = semigroupify(SWAP)
-        bad_next = [list(r) for r in good.next]
+        bad_next = good.next.tolist()
         bad_next[0][0] = 1 - bad_next[0][0]
         bad = _automaton(good.states, good.gamma, good.outputs,
                          tuple(map(tuple, bad_next)), good.out)
@@ -57,7 +57,7 @@ class TestCheckFirstAxioms:
 
     def test_corrupted_out_entry_fails(self):
         good = semigroupify(SWAP)
-        bad_out = [list(r) for r in good.out]
+        bad_out = good.out.tolist()
         bad_out[0][0] = 1 - bad_out[0][0]
         bad = _automaton(good.states, good.gamma, good.outputs, good.next,
                          tuple(map(tuple, bad_out)))
@@ -187,7 +187,7 @@ class TestSemigroupify:
         got, want = semigroupify(cycle), semigroupify_oracle(cycle)
         assert got.gamma.order == states
         assert got.gamma == want.gamma
-        assert (got.next, got.out) == (want.next, want.out)
+        assert (got.next.tolist(), got.out.tolist()) == (want.next.tolist(), want.out.tolist())
         assert dumps(got) == dumps(want)
 
     @settings(max_examples=60)
@@ -204,7 +204,7 @@ class TestSemigroupify:
                                out=tuple(zip(*[p for _, p in columns])))
         got, want = semigroupify(m), semigroupify_oracle(m)
         assert got.gamma == want.gamma  # table, generators and names
-        assert (got.next, got.out) == (want.next, want.out)
+        assert (got.next.tolist(), got.out.tolist()) == (want.next.tolist(), want.out.tolist())
         assert dumps(got) == dumps(want)
 
 

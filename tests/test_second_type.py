@@ -51,7 +51,7 @@ class TestCheckSecondAxioms:
     def test_corrupted_out_entry_fails_with_witness(self):
         q = quotient_construct(PARITY, GeneratorHom(1, Z2, (1,)),
                                GeneratorHom(1, Z2, (1,)))
-        bad_out = [list(r) for r in q.out]
+        bad_out = q.out.tolist()
         bad_out[0][0] = 1 - bad_out[0][0]
         bad = SemigroupAutomatonSecond(q.states, q.gamma, q.sigma, q.next,
                                        tuple(map(tuple, bad_out)))
@@ -129,7 +129,7 @@ class TestQuotientConstruct:
         q = quotient_construct(m, GeneratorHom(1, TRIVIAL, (0,)),
                                GeneratorHom(1, TRIVIAL, (0,)))
         assert isinstance(q, SemigroupAutomatonSecond)
-        assert q.next == ((0,),) and q.out == ((0,),)
+        assert q.next.tolist() == [[0]] and q.out.tolist() == [[0]]
 
     def test_parity_instance_well_defined(self):
         # constant output letter, transition action of order two, both
@@ -138,8 +138,8 @@ class TestQuotientConstruct:
                                GeneratorHom(1, Z2, (1,)))
         assert isinstance(q, SemigroupAutomatonSecond)
         # element 0 of Z2 is the image of even-length words, 1 of odd
-        assert q.next == ((0, 1), (1, 0))
-        assert q.out == ((0, 1), (0, 1))
+        assert q.next.tolist() == [[0, 1], [1, 0]]
+        assert q.out.tolist() == [[0, 1], [0, 1]]
 
     def test_identified_inputs_with_distinct_outputs_witnessed(self):
         m = PureAutomatonSecond(FiniteSet(1), FiniteSet(2), FiniteSet(2),

@@ -54,7 +54,7 @@ class TestCheckSerial:
 
     def test_corrupted_alpha_fails(self):
         s = reset_connection()
-        bad_alpha = [list(r) for r in s.alpha]
+        bad_alpha = s.alpha.tolist()
         bad_alpha[0][0] = 1 - bad_alpha[0][0]
         bad = SerialConnection(s.first, s.second, tuple(map(tuple, bad_alpha)))
         assert not check_serial(bad).ok
@@ -107,7 +107,7 @@ class TestDeriveSecondType:
         second = semiautomaton(FiniteSet(1), TRIVIAL, next_table=((0,),))
         s = SerialConnection(first, second, ((0, 0), (0, 0)))
         derived = derive_second_type(s)
-        assert derived.out == ((0, 0), (0, 0))
+        assert derived.out.tolist() == [[0, 0], [0, 0]]
         assert check_second_axioms(derived).ok
 
     def test_lawful_serial_yields_lawful_second_type(self):

@@ -119,9 +119,7 @@ class TestAutomata:
         order, product = wt.gamma.order, wt.gamma.product
         sub = close_generators([p % order for p in picks], lambda i, j: product[i][j])
         elems = sub.elements
-        t = CascadeTripleSemigroup(sub.table,
-                                   tuple(tuple(row[e] for e in elems) for row in wt.alpha),
-                                   tuple(wt.beta[e] for e in elems))
+        t = CascadeTripleSemigroup(sub.table, wt.alpha[:, elems], wt.beta[list(elems)])
         built = cascade_semigroup(m1, m2, t)
         assert_same_value(built, revalidated(built))
 
