@@ -32,6 +32,7 @@ from .core import (
     _frozen,
     _index_dtype,
     _int_rows,
+    _readonly,
     _table_array,
     _trusted,
     as_table,
@@ -344,8 +345,7 @@ def wreath_product(g1: SemigroupTable, a2: FiniteSet,
         ranks = sum(p1[np.ix_(bars[:, a], bars[:, action[a][s]])] * weights[a]
                     for a in range(a2.size))
         product[:, s] = ranks[:, :, None] + p2[s]
-    product = product.reshape(order, order)
-    product.flags.writeable = False
+    product = _readonly(product.reshape(order, order))
     table = _trusted(SemigroupTable, order, None, None, product, None)
     return WreathProduct(g1, a2, action, g2, table, elements)
 

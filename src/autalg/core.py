@@ -61,7 +61,9 @@ def _byte_rows(rows) -> np.ndarray | None:
     """Equal-length, non-empty list or tuple rows of ints in 0..255 as a
     read-only uint8 array, else None.  ``bytearray`` type-checks and
     converts the cells in C, taking a bool as 0 or 1, with no object per
-    row.  Ragged rows are refused, since they could still reshape."""
+    row (``bytes`` does the same 1.6 times slower); the array sees it
+    only through a read-only ``memoryview``, as ``_readonly`` arrays do.
+    Ragged rows are refused, since they could still reshape."""
     if not (isinstance(rows, (list, tuple)) and rows and set(map(type, rows)) <= {list, tuple}
             and set(map(len, rows)) == {len(rows[0])} and rows[0]):
         return None
@@ -69,9 +71,14 @@ def _byte_rows(rows) -> np.ndarray | None:
         data = bytearray(itertools.chain.from_iterable(rows))
     except (TypeError, ValueError):
         return None
-    array = np.frombuffer(data, np.uint8)
-    array.flags.writeable = False  # before the reshape, so no array over data is writable
-    return array.reshape(len(rows), -1)
+    return np.frombuffer(memoryview(data).toreadonly(), np.uint8).reshape(len(rows), -1)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous array the package allocated, as an array over the
+    same memory, with no copy, through a read-only ``memoryview``: its
+    ``flags.writeable = True`` raises ValueError."""
+    return np.frombuffer(memoryview(array).toreadonly(), array.dtype).reshape(array.shape)
 
 
 def _int_rows(rows) -> np.ndarray | None:
@@ -95,16 +102,21 @@ def _frozen(array: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     of ``dtype``, by default the narrowest unsigned dtype that holds its
     largest entry, so equal tables hold equal bytes.  ``array`` itself
     where it is one already and no array it views is writable, else a
-    copy: a read-only view of a caller's writable array would change
-    with it."""
+    copy under ``_readonly``: a read-only view of a caller's writable
+    array would change with it.  The walk down the views ends at the
+    memory's owner, and only a read-only buffer (such as ``bytes``, or
+    the memoryview under ``_readonly`` and ``_byte_rows`` arrays) is one
+    no one can write: a writable array, an array that owns its memory
+    (base None) and a writable buffer such as a ``bytearray`` are
+    copied."""
     if dtype is None:
         dtype = _index_dtype(int(array.max()) + 1)
     base = array
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    if isinstance(base, np.ndarray) or array.dtype != dtype or not array.flags.c_contiguous:
-        array = array.astype(dtype, order="C")
-        array.flags.writeable = False
+    if (base is None or isinstance(base, np.ndarray) or not memoryview(base).readonly
+            or array.dtype != dtype or not array.flags.c_contiguous):
+        array = _readonly(array.astype(dtype, order="C"))
     return array
 
 
@@ -558,11 +570,13 @@ class SemigroupTable(_ByValue):
     integer ndarray, and is stored once, as ``array``: a read-only n x n
     array of the narrowest unsigned dtype for the order (``_index_dtype``:
     uint8 up to order 256, uint16 up to 65,536), so equal tables hold
-    equal bytes.  An integer array is range-checked by its shape and
-    extremes before the cast, which would wrap (``_table_array``).  Index
-    arithmetic on it belongs in ``np.intp``: a narrow array times a Python
-    int stays narrow and wraps.  Reading ``product`` builds nested tuples
-    of Python ints from ``array`` on each access.  Tables compare and hash
+    equal bytes.  Its memory is read-only too (``_byte_rows`` or
+    ``_readonly``), so its ``writeable`` flag cannot be set again.  An
+    integer array is range-checked by its shape and extremes before the
+    cast, which would wrap (``_table_array``).  Index arithmetic on it
+    belongs in ``np.intp``: a narrow array times a Python int stays
+    narrow and wraps.  Reading ``product`` builds nested tuples of Python
+    ints from ``array`` on each access.  Tables compare and hash
     by value over order, table, generators and names (``_ByValue``).
     Construction also keeps ``generating_set``, the distinct generators
     Light's test used, which ``==`` and ``hash`` leave out.
@@ -749,8 +763,7 @@ def close_generators(generators: Sequence[Hashable],
     n = len(elements)
     tree = _Tree([slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
                  np.array(parent, dtype=np.intp), np.array([w[-1] for w in names], dtype=np.intp))
-    product = _fold_tree(np.array(right, dtype=_index_dtype(n)), np.arange(n), tree)
-    product.flags.writeable = False
+    product = _readonly(_fold_tree(np.array(right, dtype=_index_dtype(n)), np.arange(n), tree))
     gens = tuple(letter_to_index)
     table = _trusted(SemigroupTable, n, gens, tuple(names), product, tuple(dict.fromkeys(gens)))
     return Closure(table, tuple(elements))

@@ -742,11 +742,23 @@ def _types(value):
     return type(value)
 
 
+def _read_only_memory(a: np.ndarray) -> bool:
+    """Does setting ``a.flags.writeable`` fail, as it does for an array
+    over memory no one may write?"""
+    try:
+        a.flags.writeable = True
+    except ValueError:
+        return True
+    a.flags.writeable = False
+    return False
+
+
 def _assert_same_slots(built, rebuilt) -> None:
     """Slot by slot, into nested tables, automata and carriers: tables
-    as read-only C-contiguous arrays, a product in its order's
-    ``_index_dtype``, any other table in that of its largest entry, and
-    everything else of the same types down to each tuple entry."""
+    as C-contiguous arrays over read-only memory, a product in its
+    order's ``_index_dtype``, any other table in that of its largest
+    entry, and everything else of the same types down to each tuple
+    entry."""
     assert type(built) is type(rebuilt)
     for f in dataclasses.fields(built):
         a, b = getattr(built, f.name), getattr(rebuilt, f.name)
@@ -757,6 +769,7 @@ def _assert_same_slots(built, rebuilt) -> None:
                                  else int(a.max()) + 1)
             assert a.dtype == b.dtype == dtype, f.name
             assert not a.flags.writeable and not b.flags.writeable, f.name
+            assert _read_only_memory(a) and _read_only_memory(b), f.name
             assert a.flags.c_contiguous and b.flags.c_contiguous, f.name
             assert np.array_equal(a, b), f.name
         else:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 from random import Random
 
 import pytest
@@ -21,7 +23,8 @@ from autalg import (
     minimize_element,
     odometer,
 )
-from autalg.mealy import _bisimulation_blocks, _minimal, _reachable_product
+from autalg.core import bfs_order
+from autalg.mealy import _bisimulation_blocks, _Sections
 from autalg.schema import dumps
 from helpers import (
     all_words,
@@ -278,9 +281,43 @@ class TestCanonicalForm:
         assert minimize_element(echo) == identity_element(2)
 
 
+def section(table: _Sections, i: int, alphabet: int) -> MealyElement:
+    """Id i of an order search's table as an element: the ids within its
+    reach, numbered breadth first, through the validating constructor."""
+    reach = bfs_order(table.succ, i)
+    index = {v: k for k, v in enumerate(reach)}
+    nxt = tuple(tuple(index[v] for v in table.succ[q]) for q in reach)
+    return MealyElement(MealyMachine(len(reach), alphabet, nxt,
+                                     tuple(table.out[q] for q in reach)), 0)
+
+
+def walk_powers(e: MealyElement, powers: int, max_states: int = 40) -> _Sections:
+    """Build the powers of ``e`` in one table of sections, as the order
+    search does, and check each against the minimized full product.
+    After each step the table must be closed, hold the identity at id 0
+    and have no two ids bisimilar, and ``key`` must index it."""
+    alphabet = e.machine.alphabet
+    table = _Sections(e)
+    base = minimize_reference(e)
+    assert section(table, table.base, alphabet) == base
+    root, power = table.base, base
+    for _ in range(powers):
+        root = table.product(root, table.base)
+        power = power_step_reference(power, base)
+        assert section(table, root, alphabet) == power
+        ids = range(len(table.out))
+        assert table.out[0] == tuple(range(alphabet)) and table.succ[0] == (0,) * alphabet
+        assert _bisimulation_blocks(table.succ, table.out) == list(ids)
+        if table.key is not None:
+            assert table.key == {o + s: i for i, o, s in zip(ids, table.out, table.succ)}
+        if power.machine.states > max_states:
+            break
+    return table
+
+
 class TestFusedKernels:
-    """The reachable-product power step, the integer-signature rounds and
-    the trusted constructor against the code they replaced."""
+    """The order search's table of sections, the integer-signature rounds
+    and the trusted constructor against the code they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -300,15 +337,32 @@ class TestFusedKernels:
     def test_every_power_matches_the_minimized_full_product(self, data):
         alphabet = data.draw(st.integers(1, 3))
         e = data.draw(elements(alphabet, max_states=5, invertible=True))
-        base = minimize_element(e)
-        assert base == minimize_reference(e)
-        power = base
-        for _ in range(24):
-            fused = _minimal(*_reachable_product(power, base), alphabet)
-            assert fused == power_step_reference(power, base)
-            power = fused
-            if power.machine.states > 40:
-                break
+        assert minimize_element(e) == minimize_reference(e)
+        table = walk_powers(e, 24)
+        for (i, j), k in table.memo.items():  # every remembered product is exact
+            assert section(table, k, alphabet) == minimize_reference(
+                element_compose(section(table, i, alphabet), section(table, j, alphabet)))
+
+    def test_odometer_powers_reuse_earlier_sections(self):
+        table = walk_powers(odometer(), 200)
+        # e^k has the sections e^(k // 2) and e^((k + 1) // 2), built
+        # before it: the table is the identity and e^1 .. e^201, and each
+        # step remembered only its one new pair
+        assert len(table.out) == 202 and len(table.memo) == 200
+
+    def test_alternating_grigorchuk_words_take_the_recollection(self, monkeypatch):
+        g = grigorchuk_elements()
+        recollected = []
+        recollect = _Sections._recollect
+        monkeypatch.setattr(_Sections, "_recollect",
+                            lambda table, *args: recollected.append(1) or recollect(table, *args))
+        words = [w for n in range(1, 5) for w in map("".join, itertools.product("abcd", repeat=n))
+                 if all((x == "a") != (y == "a") for x, y in zip(w, w[1:]))]
+        assert len(words) == 4 + 6 + 12 + 18
+        for w in words:
+            e = functools.reduce(element_compose, [g[c] for c in w])
+            walk_powers(e, element_order_bounded(e).order + 2)
+        assert recollected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 12), st.integers(1, 6))

@@ -22,7 +22,10 @@ from autalg import (
     SemigroupAutomatonFirst,
     SemigroupTable,
     check_semigroup_triple,
+    quotient_construct,
+    semigroupify,
     wreath_product,
+    wreath_triple,
 )
 from autalg import core
 from autalg.cli import main
@@ -330,3 +333,60 @@ def test_a_read_only_view_of_a_writable_array_is_copied():
     base[0, 0] = 1
     assert m.next.tolist() == [[0, 1], [1, 0]] and m.gamma.array.tolist() == [[0, 1], [1, 0]]
     assert hash(m) == before
+
+
+def _flag_only(source: str) -> np.ndarray:
+    """A 2 x 2 table marked read-only over memory its owner can write."""
+    if source == "bytearray":
+        array = np.frombuffer(bytearray([0, 1, 1, 0]), np.uint8).reshape(2, 2)
+    else:
+        array = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("source", ["bytearray", "owner"])
+def test_a_table_read_only_by_its_flag_alone_is_copied(source):
+    array = _flag_only(source)
+    m = SemigroupAutomatonFirst(FiniteSet(2), SemigroupTable(2, array), FiniteSet(2),
+                                array, array)
+    for stored in (m.next, m.out, m.gamma.array):
+        assert stored is not array and not np.shares_memory(stored, array)
+        with pytest.raises(ValueError):
+            stored.flags.writeable = True
+
+
+def _stored_arrays() -> list[tuple[str, object, np.ndarray]]:
+    """(name, owner, array) for every table array an object stores, as
+    loaded and as the package builds it."""
+    z2 = load(FIRST_Z2)
+    triple = load(str(FIXTURES / "cascade_triple_semigroup.json"))
+    serial = load(str(FIXTURES / "serial_reset.json"))
+    second = load(str(FIXTURES / "second_semigroup_parity.json"))
+    closure = core.close_generators([1, 2], lambda i, j: (i * j) % 7)
+    swap = semigroupify(load(str(FIXTURES / "first_pure_swap.json")))
+    parity = quotient_construct(load(str(FIXTURES / "second_pure_parity.json")),
+                                load(str(FIXTURES / "hom_mu_parity.json")),
+                                load(str(FIXTURES / "hom_nu_parity.json")))
+    wreath = wreath_product(z2.gamma, z2.states, z2.next, z2.gamma)
+    built = wreath_triple(wreath)
+    return [("loaded gamma", z2, z2.gamma.array), ("closure", closure.table, closure.table.array),
+            ("first next", z2, z2.next), ("first out", z2, z2.out),
+            ("second next", second, second.next), ("second out", second, second.out),
+            ("semigroupify next", swap, swap.next), ("semigroupify out", swap, swap.out),
+            ("quotient next", parity, parity.next), ("quotient out", parity, parity.out),
+            ("serial alpha", serial, serial.alpha),
+            ("triple alpha", triple, triple.alpha), ("triple beta", triple, triple.beta),
+            ("wreath table", wreath, wreath.table.array), ("wreath action", wreath, wreath.action),
+            ("wreath triple alpha", built, built.alpha), ("wreath triple beta", built, built.beta)]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _stored_arrays()])
+def test_no_stored_table_can_be_made_writable(name):
+    # the memory under every stored table is read-only, so the flag
+    # cannot be flipped back and the value, and its hash, cannot change
+    _, owner, array = next(row for row in _stored_arrays() if row[0] == name)
+    before = hash(owner)
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+    assert not array.flags.writeable and hash(owner) == before
